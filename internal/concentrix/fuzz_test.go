@@ -11,40 +11,28 @@ import (
 // space: the fuzzer drives the mix seed, job count, quantum and
 // resident limit, so the scheduled CI fuzz job
 // (.github/workflows/fuzz.yml) explores schedules the fixed-seed
-// trials below never reach.  Under plain `go test` only the seed
-// corpus runs.
+// trials below never reach.  Each mix runs twice, one Step per cycle
+// and in StepN chunks, and the two runs must agree on the probe wires
+// at every chunk boundary and on every statistic.  Under plain
+// `go test` only the seed corpus runs.
 func FuzzJobMixes(f *testing.F) {
-	f.Add(uint64(0xD1CE), uint8(4), uint32(10_000), uint8(16))
-	f.Add(uint64(7), uint8(1), uint32(150), uint8(1))
+	for _, c := range goldenMixCases {
+		f.Add(c.seed, c.nJobs, c.slice, c.limit)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, nJobs uint8, slice uint32, limit uint8) {
-		rng := rand.New(rand.NewPCG(seed, 0xCE))
-		cfg := DefaultSysConfig()
-		cfg.TimeSlice = int(slice%200_000) + 100
-		cfg.ResidentLimit = int(limit%64) + 1
-		sys := NewSystem(quietCluster(), cfg)
-
-		n := int(nJobs%8) + 1
-		jobs := make([]*Process, 0, n)
-		for j := 0; j < n; j++ {
-			p := computeJob(j+1, 50+rng.IntN(400), int32(1+rng.IntN(4)))
-			p.ClusterSize = 1 + rng.IntN(8)
-			p.Arrival = uint64(rng.IntN(50_000))
-			jobs = append(jobs, p)
-			sys.Submit(p)
-		}
+		c := mixCase{seed: seed, nJobs: nJobs, slice: slice, limit: limit}
+		mixRuns(t, c)
+		sys, jobs := c.build()
 		for i := 0; i < 30_000_000 && !sys.Drained(); i++ {
 			sys.Step()
 		}
-		if !sys.Drained() {
-			t.Fatalf("seed %#x: system never drained", seed)
-		}
 		for _, p := range jobs {
 			if !p.Done || p.DoneAt < p.Arrival || p.CPUCycles == 0 {
-				t.Fatalf("seed %#x: job %d accounting wrong: %+v", seed, p.PID, p)
+				t.Fatalf("%s: job %d accounting wrong: %+v", c.name(), p.PID, p)
 			}
 		}
-		if sys.Kernel.JobsCompleted != uint64(n) {
-			t.Fatalf("seed %#x: completed %d of %d", seed, sys.Kernel.JobsCompleted, n)
+		if sys.Kernel.JobsCompleted != uint64(len(jobs)) {
+			t.Fatalf("%s: completed %d of %d", c.name(), sys.Kernel.JobsCompleted, len(jobs))
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -68,13 +70,27 @@ func TestFitModelsTooFewPoints(t *testing.T) {
 	}
 }
 
-// TestQuickStudyEndToEnd runs the reduced campaign and checks every
-// headline result of the paper in shape.
+// quickStudySHA256 is the sha256 of EncodeStudy over the quick-scale
+// campaign: the absolute fingerprint every simulator, OS, monitor or
+// methodology change must reproduce byte for byte.  A deliberate
+// change of output updates it, with the reason in the commit.
+const quickStudySHA256 = "0dfadcd070b9a57ce1e539f8ab97eeb4aedc8d3dedbde5a7f27f7dc3450ea761"
+
+// TestQuickStudyEndToEnd runs the reduced campaign, pins its encoding
+// to quickStudySHA256 and checks every headline result of the paper
+// in shape.
 func TestQuickStudyEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline study in -short mode")
 	}
 	st := RunStudy(QuickScale())
+	enc, err := EncodeStudy(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != quickStudySHA256 {
+		t.Errorf("quick study sha256 = %s, want %s", got, quickStudySHA256)
+	}
 
 	// Session bookkeeping.
 	if len(st.Random) != 3 || len(st.HighConc) != 3 || len(st.Transition) != 2 {

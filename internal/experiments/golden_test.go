@@ -1,16 +1,25 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 )
 
+// paperStudySHA256 is the sha256 of core.EncodeStudy over the
+// paper-scale campaign at seed 1987.  A deliberate change of output
+// updates it, with the reason in the commit.
+const paperStudySHA256 = "f48b628e400cd4ac191c0c7272a71c253ed963757419919977e3ee1140a766ec"
+
 // TestPaperScaleHeadline is the calibration regression test: it runs
-// the full deterministic paper-scale campaign and pins the headline
-// results to the bands EXPERIMENTS.md documents.  Any change to the
-// simulator, OS, workload generator or methodology that moves the
-// reproduction away from the paper fails here.
+// the full deterministic paper-scale campaign, pins its encoding to
+// paperStudySHA256, and pins the headline results to bands around the
+// paper's values (Cw 0.35, Pc 7.66, c_8|c 0.93, and the chapter 5
+// model fits).  Any change to the simulator, OS, workload generator
+// or methodology that moves the reproduction away from the paper
+// fails here.
 //
 // The campaign takes ~20 s; skipped under -short.
 func TestPaperScaleHeadline(t *testing.T) {
@@ -19,6 +28,13 @@ func TestPaperScaleHeadline(t *testing.T) {
 		t.Skip("paper-scale campaign in -short mode")
 	}
 	st := core.RunStudy(core.PaperScale())
+	enc, err := core.EncodeStudy(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != paperStudySHA256 {
+		t.Errorf("paper study sha256 = %s, want %s", got, paperStudySHA256)
+	}
 
 	m := st.OverallMeasures
 	if m.Cw < 0.28 || m.Cw > 0.42 {

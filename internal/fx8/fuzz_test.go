@@ -76,33 +76,27 @@ func randomInstr(rng *rand.Rand) Instr {
 }
 
 // FuzzClusterPrograms is the native fuzz entry over the same program
-// space: the fuzzer drives the generator seed and resource class, so
-// the scheduled CI fuzz job (.github/workflows/fuzz.yml) explores
-// program shapes the fixed-seed trials above never reach.  Under
-// plain `go test` only the seed corpus runs.
+// space: the fuzzer drives the generator seed, the resource class and
+// the machine mode (IP traffic, MMU stalls), so the scheduled CI fuzz
+// job (.github/workflows/fuzz.yml) explores program shapes the
+// fixed-seed trials above never reach.  Each input runs twice, one
+// Step per cycle and in StepN chunks, and the two runs must agree on
+// the probe wires at every chunk boundary and on every statistic.
+// Under plain `go test` only the seed corpus runs.
 func FuzzClusterPrograms(f *testing.F) {
-	f.Add(uint64(0xF00D), uint8(8))
-	f.Add(uint64(1), uint8(1))
-	f.Add(uint64(0xBEEF), uint8(4))
-	f.Fuzz(func(t *testing.T, seed uint64, size uint8) {
-		rng := rand.New(rand.NewPCG(seed, 0xF2))
-		cl := New(quietConfig())
-		clusterSize := int(size%8) + 1
-		if err := cl.Run(randomProgram(rng), clusterSize); err != nil {
-			t.Fatal(err)
-		}
-		limit := 3_000_000
-		for i := 0; i < limit && !cl.Idle(); i++ {
-			cl.Step()
-		}
-		if !cl.Idle() {
-			t.Fatalf("seed %#x size %d wedged", seed, clusterSize)
-		}
+	for _, c := range goldenProgramCases {
+		f.Add(c.seed, c.size, c.mode)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, size, mode uint8) {
+		c := programCase{seed: seed, size: size, mode: mode}
+		programRuns(t, c)
+		cl := c.build(t)
+		runUntilIdle(t, cl, 3_000_000)
 		if cl.ActiveCount() != 0 {
-			t.Fatalf("seed %#x left CEs active after completion", seed)
+			t.Fatalf("%s left CEs active after completion", c.name())
 		}
 		if cl.CCBus().Running() {
-			t.Fatalf("seed %#x left the CCB running", seed)
+			t.Fatalf("%s left the CCB running", c.name())
 		}
 	})
 }
