@@ -1,7 +1,7 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
-// toggles one mechanism of the simulator or workload and reports the
+// Ablation benchmarks for the simulator's and workload's design
+// choices: each toggles one mechanism of the simulator or workload and reports the
 // resulting shift in the measure that mechanism is supposed to
 // explain.  They double as evidence that the reproduced effects are
 // caused by the modelled mechanisms rather than artefacts.

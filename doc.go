@@ -71,7 +71,7 @@
 //
 // The root package holds the benchmark harness: one benchmark per
 // table and figure of the paper's evaluation, plus ablation benchmarks
-// for the design choices documented in DESIGN.md.
+// that toggle one modelled mechanism each (ablation_bench_test.go).
 //
 // # Benchmarking
 //

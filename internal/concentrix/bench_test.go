@@ -30,6 +30,34 @@ func BenchmarkSystemStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemStepN drives BenchmarkSystemStep's workload through
+// StepN, the path sessions take between snapshots, in chunks of 1,000
+// cycles.  ns/cycle is the cost per simulated cycle, comparable with
+// BenchmarkSystemStep's ns/op.
+func BenchmarkSystemStepN(b *testing.B) {
+	const chunk = 1_000
+	cfg := DefaultSysConfig()
+	cfg.TimeSlice = 2_000
+	sys := NewSystem(quietCluster(), cfg)
+	submit := func() {
+		for j := 0; j < 4; j++ {
+			sys.Submit(computeJob(j+1, 400, 3))
+		}
+	}
+	submit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sys.Drained() {
+			b.StopTimer()
+			submit()
+			b.StartTimer()
+		}
+		sys.StepN(chunk)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*chunk), "ns/cycle")
+}
+
 // BenchmarkVMTouch measures the per-cache-lookup virtual memory check
 // with a process whose working set cycles through its resident limit.
 func BenchmarkVMTouch(b *testing.B) {

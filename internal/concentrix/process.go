@@ -1,6 +1,9 @@
 package concentrix
 
-import "repro/internal/fx8"
+import (
+	"repro/internal/fx8"
+	"repro/internal/trace"
+)
 
 // Process is a Concentrix cluster job: a serial instruction stream
 // (whose position persists across preemption), the cluster resource
@@ -83,14 +86,15 @@ type VM struct {
 	kernel      *Kernel // wiring to the owning system's counters; fxlint:keep
 	current     *Process
 
-	// lastPage/lastOK memoize the most recently touched resident
-	// page: touching a resident page mutates nothing in the address
-	// space, so the run of references a CE makes within one page
-	// (vector streams, hot code) skips the residency map entirely.
-	// Residency can only change on a fault or a process switch, and
-	// both clear the memo.
-	lastPage uint32 // meaningless while !lastOK, which Reset clears; fxlint:keep
-	lastOK   bool
+	// last[ce] memoizes the resident page CE ce touched last, valid
+	// while bit ce of lastOK is set: touching a resident page mutates
+	// nothing in the address space, so the run of references each CE
+	// makes within one page (vector streams, hot code) skips the
+	// residency map entirely, even with eight CEs streaming different
+	// arrays.  Residency can only change on a fault or a process
+	// switch, and both clear every memo.
+	last   [trace.NumCE]uint32 // meaningless while its lastOK bit is clear, which Reset clears; fxlint:keep
+	lastOK uint8
 }
 
 // NewVM builds the virtual memory hook.  pageBytes must be a power of
@@ -106,7 +110,7 @@ func NewVM(pageBytes, faultCycles int, kernel *Kernel) *VM {
 // SetCurrent switches the address space accesses resolve against.
 func (v *VM) SetCurrent(p *Process) {
 	v.current = p
-	v.lastOK = false
+	v.lastOK = 0
 }
 
 // Reset detaches the hook from any process, clears the residency memo
@@ -114,7 +118,7 @@ func (v *VM) SetCurrent(p *Process) {
 // a property of the cluster the hook is mounted on — is kept.
 func (v *VM) Reset(faultCycles int) {
 	v.current = nil
-	v.lastOK = false
+	v.lastOK = 0
 	v.faultCycles = faultCycles
 }
 
@@ -124,18 +128,18 @@ func (v *VM) Touch(ce int, addr uint32) int {
 		return 0
 	}
 	page := addr >> v.pageShift
-	if v.lastOK && page == v.lastPage {
+	bit := uint8(1) << ce
+	if v.lastOK&bit != 0 && page == v.last[ce] {
 		return 0
 	}
+	v.last[ce] = page
 	if v.current.Space.Touch(page) {
 		v.kernel.PageFaultsUser++
-		// The fault evicted some resident page; only the page just
-		// brought in is known resident now.
-		v.lastPage = page
-		v.lastOK = true
+		// The fault may have evicted any resident page; only the
+		// page just brought in is known resident now.
+		v.lastOK = bit
 		return v.faultCycles
 	}
-	v.lastPage = page
-	v.lastOK = true
+	v.lastOK |= bit
 	return 0
 }

@@ -37,7 +37,8 @@ func DefaultSysConfig() SysConfig {
 
 // System assembles the cluster and the operating system: a run queue
 // of cluster jobs, future arrivals, the VM hook and kernel counters.
-// Step advances the machine one cycle under OS control.
+// Step advances the machine one cycle under OS control; Advance and
+// StepN jump the spans in which neither the scheduler nor any CE acts.
 type System struct {
 	// The cluster is owned by the caller, which resets it (with the
 	// session seed) before resetting the system over it.
@@ -93,27 +94,42 @@ func (s *System) Submit(p *Process) {
 	})
 }
 
-// Step runs the scheduler and advances the cluster one cycle.  Run
-// queue waiting is accounted lazily: enqueue stamps the cycle and
-// dispatch credits the difference, so the per-cycle path never walks
-// the queue (the totals are identical to per-cycle increments).
-func (s *System) Step() {
+// Step runs the scheduler and advances the cluster one cycle.
+func (s *System) Step() { s.Advance(1) }
+
+// Advance runs the scheduler, then executes at least one and at most
+// max cycles and returns how many.  It jumps only cycles on which the
+// scheduler would do nothing: before the next arrival, before the
+// running job's slice expires while others wait, and before the
+// cluster's next CE step (which alone can finish the job or end the
+// concurrent loop blocking a preemption).  Run queue waiting is
+// accounted lazily: enqueue stamps the cycle and dispatch credits the
+// difference, so the per-cycle path never walks the queue (the totals
+// are identical to per-cycle increments).
+func (s *System) Advance(max int) int {
 	s.schedule()
-	if s.current == nil {
-		s.IdleCycles++
-	} else {
-		s.current.CPUCycles++
-		if s.sliceLeft > 0 {
-			s.sliceLeft--
+	if len(s.pending) > 0 {
+		if d := s.pending[0].Arrival - s.Cluster.Cycle(); d < uint64(max) {
+			max = int(d) //fxlint:allow truncation — d < max, an int
 		}
 	}
-	s.Cluster.Step()
+	if s.current != nil && len(s.runq) > 0 && s.sliceLeft > 0 {
+		max = min(max, s.sliceLeft)
+	}
+	n := s.Cluster.Advance(max)
+	if s.current == nil {
+		s.IdleCycles += uint64(n)
+	} else {
+		s.current.CPUCycles += uint64(n)
+		s.sliceLeft -= min(n, s.sliceLeft)
+	}
+	return n
 }
 
 // StepN executes n cycles.
 func (s *System) StepN(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
+	for n > 0 {
+		n -= s.Advance(n)
 	}
 }
 

@@ -602,38 +602,49 @@ func (c *Coordinator) run(ctx context.Context, j *job) {
 
 	res, err := c.execute(ctx, j)
 
+	// The final record is built aside and published to Status only
+	// after it is persisted and the lease released, so a caller that
+	// sees a terminal state never sees the lease still held.
 	j.mu.Lock()
-	lost := j.leaseLost
+	lost, stopped := j.leaseLost, j.userStop
+	final := j.rec
+	j.mu.Unlock()
 	switch {
 	case err == nil:
-		j.rec.State = StateDone
-		j.rec.Done = j.rec.Total
-		j.result = res
-	case j.userStop:
-		j.rec.State = StateCanceled
-		j.rec.Error = "canceled"
+		final.State = StateDone
+		final.Done = final.Total
+	case stopped:
+		final.State = StateCanceled
+		final.Error = "canceled"
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		// Coordinator shutdown (Close) or a lost lease, not a failure:
 		// leave the record in state running — the resumable state —
 		// with the Done count advanced to the last completion.
 	default:
-		j.rec.State = StateFailed
-		j.rec.Error = err.Error()
+		final.State = StateFailed
+		final.Error = err.Error()
+	}
+
+	// When ownership moved to a peer mid-run, the record and the
+	// lease are the new owner's now.  Persisting would clobber the
+	// peer's progress, and releaseLease would race its lease — this
+	// coordinator just walks away.  (A completed result is still
+	// booked below: the units were finished before the loss surfaced,
+	// and persist is last-writer-wins on identical content-addressed
+	// unit entries either way.)
+	if !lost || err == nil {
+		final.Updated = time.Now()
+		if key, kerr := recordKey(final.ID); kerr == nil && c.cfg.Store != nil {
+			store.PutJSON(c.cfg.Store, key, final)
+		}
+		c.releaseLease(final.ID)
+	}
+	j.mu.Lock()
+	j.rec = final
+	if err == nil {
+		j.result = res
 	}
 	j.mu.Unlock()
-
-	if lost && err != nil {
-		// Ownership moved to a peer mid-run: the record and the lease
-		// are the new owner's now.  Persisting would clobber the
-		// peer's progress, and releaseLease would race its lease —
-		// this coordinator just walks away.  (A completed result is
-		// still booked above: the units were finished before the loss
-		// surfaced, and persist is last-writer-wins on identical
-		// content-addressed unit entries either way.)
-		return
-	}
-	c.persist(j)
-	c.releaseLease(j.rec.ID)
 }
 
 // execute runs a job's units and assembles its result.

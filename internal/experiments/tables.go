@@ -135,7 +135,8 @@ func TableA1(st *core.Study) string {
 }
 
 // Headline summarizes the study's key claims against the measured
-// reproduction — the paper-vs-measured record for EXPERIMENTS.md.
+// reproduction — the paper-vs-measured record that cmd/tables and
+// the full report print.
 func Headline(st *core.Study) string {
 	var b strings.Builder
 	m := st.OverallMeasures

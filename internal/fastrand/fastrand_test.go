@@ -61,3 +61,36 @@ func TestIntNPanicsOnNonPositive(t *testing.T) {
 		}()
 	}
 }
+
+// TestFailuresMatchesIntNLoop pins Failures to the trial loop it
+// replaces: the same counts and the same generator state afterwards,
+// for the IP model's modulus, a power of two and certain success.
+func TestFailuresMatchesIntNLoop(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{1000, 60}, {1000, 1}, {1000, 1000}, {7, 3}, {64, 5}, {1, 1}} {
+		ref, fast := New(9, uint64(c.n)), New(9, uint64(c.n))
+		for i := 0; i < 2_000; i++ {
+			var want uint64
+			for ref.IntN(c.n) >= c.k {
+				want++
+			}
+			if got := fast.Failures(c.n, c.k); got != want {
+				t.Fatalf("n=%d k=%d draw %d: Failures = %d, loop = %d", c.n, c.k, i, got, want)
+			}
+		}
+		if a, b := ref.Uint64(), fast.Uint64(); a != b {
+			t.Fatalf("n=%d k=%d: generator states diverged", c.n, c.k)
+		}
+	}
+}
+
+// BenchmarkFailures measures the IP model's trial pre-draw: the
+// failed IntN(1000) < 60 trials before the first success, about 16
+// draws per op.
+func BenchmarkFailures(b *testing.B) {
+	p := New(1, 2)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += p.Failures(1000, 60)
+	}
+	_ = sink
+}

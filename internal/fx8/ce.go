@@ -27,6 +27,21 @@ const (
 	lkFetch                    // completes an instruction fetch
 )
 
+// sleepKind is what a sleeping CE does on each cycle it is not
+// stepped.
+type sleepKind uint8
+
+const (
+	awake        sleepKind = iota // stepped on every cycle from wake on
+	sleepStall                    // one StallCycles per cycle
+	sleepCompute                  // one retirement per cycle
+	sleepStream                   // one vector element and bus cycle per cycle
+)
+
+// never is the wake cycle of a CE with nothing to do until another CE
+// or the operating system hands it work.
+const never = ^uint64(0)
+
 // CE is one Computational Element of the cluster.
 type CE struct {
 	id     int
@@ -45,8 +60,7 @@ type CE struct {
 	vecLeft     int
 	vecAddr     uint32
 	vecWrite    bool
-	vecLine     uint32 // line currently streaming (valid when vecLineOK)
-	vecLineOK   bool
+	vecLine     uint32 // line granted to the streaming vector operation
 
 	// Outstanding cache access.
 	wantLookup  bool
@@ -58,6 +72,15 @@ type CE struct {
 
 	stall      int
 	awaitStage int
+
+	// The CE sleeps through runs of cycles that touch nothing but its
+	// own counters: a stall, the remaining cycles of a multi-cycle
+	// compute, or the vector elements left inside an already-granted
+	// line, until its wake cycle (Cluster.wake).  While asleep, stall,
+	// computeLeft, vecLeft, vecAddr and the statistics hold their
+	// values as of cycle syncAt; settle brings them up to date.
+	sleep  sleepKind
+	syncAt uint64
 
 	// bodyBuf is the CE's private loop-body buffer: loops built with
 	// BodyInto materialize each self-scheduled iteration here, reusing
@@ -99,11 +122,96 @@ func (ce *CE) Active() bool {
 }
 
 // BusOp returns the opcode driven on the CE bus during the last
-// executed cycle.
+// executed cycle, as of the Cluster.CE call that returned ce.
 func (ce *CE) BusOp() trace.CEOp { return ce.busOp }
 
+// opAt returns the opcode the CE drove during cycle now-1: the
+// sleep's own opcode once the sleep has run a cycle past syncAt,
+// otherwise the one latched by its last step or settle.
+func (ce *CE) opAt(now uint64) trace.CEOp {
+	if ce.sleep == awake || now == ce.syncAt {
+		return ce.busOp
+	}
+	if ce.sleep == sleepStream {
+		return busOpFor(ce.vecWrite, false, false)
+	}
+	return trace.CEIdle
+}
+
+// settle brings a sleeping CE's counters and statistics up to cycle
+// now (at most its wake cycle): exactly what stepping it on every
+// cycle since syncAt would have left behind.
+func (ce *CE) settle(cl *Cluster, now uint64) {
+	if ce.sleep == awake || now == ce.syncAt {
+		return
+	}
+	ce.busOp = ce.opAt(now)
+	d := now - ce.syncAt
+	// d never exceeds the sleep's run length, which was an int.
+	n := int(d) //fxlint:allow truncation — d <= the sleep's int run length
+	ce.syncAt = now
+	switch ce.sleep {
+	case sleepStall:
+		ce.stall -= n
+		ce.StallCycles += d
+	case sleepCompute:
+		ce.computeLeft -= n
+		ce.InstrsRetired += d
+	case sleepStream:
+		ce.vecLeft -= n
+		ce.vecAddr += uint32(n) * cl.laneBytes
+		ce.InstrsRetired += d
+		ce.BusBusyCycles += d
+	}
+}
+
+// schedule sets the CE's wake cycle from the state it starts cycle
+// from in.  A stall, a multi-cycle compute or in-line vector
+// streaming puts it to sleep until the run is over; a pending lookup
+// or a dependence wait keeps it awake; an idle or barrier CE sleeps
+// until the cluster wakes it.
+func (ce *CE) schedule(cl *Cluster, from uint64) {
+	ce.sleep = awake
+	switch ce.mode {
+	case ceIdle, ceBarrier:
+		cl.wake[ce.id] = never
+		return
+	case ceAwait:
+		cl.wake[ce.id] = from
+		return
+	}
+	run := 0
+	switch {
+	case ce.stall > 0:
+		ce.sleep, run = sleepStall, ce.stall
+	case ce.wantLookup:
+	case ce.computeLeft > 0:
+		ce.sleep, run = sleepCompute, ce.computeLeft
+	case ce.vecLeft > 0:
+		if run = ce.lineRun(cl); run > 0 {
+			ce.sleep = sleepStream
+		}
+	}
+	ce.syncAt = from
+	cl.wake[ce.id] = from + uint64(run)
+}
+
+// lineRun returns how many of the vector operation's remaining
+// elements lie in the granted line, one per cycle from vecAddr on.
+func (ce *CE) lineRun(cl *Cluster) int {
+	if ce.vecAddr>>cl.lineShift != ce.vecLine {
+		return 0
+	}
+	end := (uint64(ce.vecLine) + 1) << cl.lineShift
+	lane := uint64(cl.laneBytes)
+	if k := (end - uint64(ce.vecAddr) + lane - 1) / lane; k < uint64(ce.vecLeft) {
+		return int(k) //fxlint:allow truncation — k < vecLeft, an int
+	}
+	return ce.vecLeft
+}
+
 // reset returns the CE to the idle state, clearing any in-flight
-// work.  Used on process switch.
+// work.  Used on process switch; a sleeping CE must be settled first.
 func (ce *CE) reset(cl *Cluster) {
 	ce.mode = ceIdle
 	ce.stream = nil
@@ -111,10 +219,9 @@ func (ce *CE) reset(cl *Cluster) {
 	ce.fetched = false
 	ce.computeLeft = 0
 	ce.vecLeft = 0
-	ce.vecLineOK = false
-	if ce.wantLookup {
-		cl.wantLookups--
-	}
+	ce.sleep = awake
+	cl.wake[ce.id] = never
+	cl.wantMask &^= 1 << ce.id
 	ce.wantLookup = false
 	ce.granted = false
 	ce.waited = 0
@@ -123,9 +230,11 @@ func (ce *CE) reset(cl *Cluster) {
 	ce.icache.invalidate()
 }
 
-// step executes one cycle.  The cluster has already run crossbar
-// arbitration, so ce.granted tells the CE whether an outstanding
-// lookup proceeds this cycle.
+// step executes one cycle of an awake CE.  The cluster has already
+// run crossbar arbitration, so ce.granted tells the CE whether an
+// outstanding lookup proceeds this cycle.  Stalls, compute cycles and
+// in-line vector elements never reach step: the CE sleeps through
+// them and settle accounts for them.
 func (ce *CE) step(cl *Cluster) {
 	ce.busOp = trace.CEIdle
 
@@ -139,20 +248,12 @@ func (ce *CE) step(cl *Cluster) {
 			}
 		}
 		return
-	case ceBarrier:
-		return
 	case ceAwait:
 		ce.AwaitCycles++
 		if !cl.ccb.StageReached(ce.awaitStage) {
 			return
 		}
 		ce.mode = ceConc
-	}
-
-	if ce.stall > 0 {
-		ce.stall--
-		ce.StallCycles++
-		return
 	}
 
 	if ce.wantLookup {
@@ -163,7 +264,7 @@ func (ce *CE) step(cl *Cluster) {
 		}
 		ce.granted = false
 		ce.wantLookup = false
-		cl.wantLookups--
+		cl.wantMask &^= 1 << ce.id
 		ce.waited = 0
 		ce.performLookup(cl)
 		return
@@ -174,13 +275,10 @@ func (ce *CE) step(cl *Cluster) {
 
 // exec advances the instruction state machine by one cycle.
 func (ce *CE) exec(cl *Cluster) {
-	if ce.computeLeft > 0 {
-		ce.computeLeft--
-		ce.InstrsRetired++
-		return
-	}
 	if ce.vecLeft > 0 {
-		ce.vecElement(cl)
+		// The last element left the granted line: cross into the
+		// next one.
+		ce.postLookup(cl, ce.vecAddr, ce.vecWrite, lkVector)
 		return
 	}
 	if !ce.hasCur {
@@ -234,8 +332,7 @@ func (ce *CE) dispatch(cl *Cluster) {
 		ce.vecLeft = int(in.N)
 		ce.vecAddr = in.Addr
 		ce.vecWrite = in.Op == OpVStore
-		ce.vecLineOK = false
-		ce.vecElement(cl)
+		ce.postLookup(cl, ce.vecAddr, ce.vecWrite, lkVector)
 	case OpCStart:
 		if cl.ccb.Running() {
 			panic(fmt.Sprintf("fx8: CE %d issued OpCStart inside a concurrent loop", ce.id))
@@ -262,36 +359,18 @@ func (ce *CE) dispatch(cl *Cluster) {
 	}
 }
 
-// vecElement advances a streaming vector memory operation by one
-// element: line crossings require a shared-cache lookup; elements
-// within a resident line stream one per bus cycle.
-func (ce *CE) vecElement(cl *Cluster) {
-	line := ce.vecAddr >> cl.lineShift
-	if !ce.vecLineOK || line != ce.vecLine {
-		ce.postLookup(cl, ce.vecAddr, ce.vecWrite, lkVector)
-		return
-	}
-	ce.driveBus(busOpFor(ce.vecWrite, false, false))
-	ce.consumeElement(cl)
-}
-
 // consumeElement retires one vector element.
 func (ce *CE) consumeElement(cl *Cluster) {
 	ce.vecLeft--
 	ce.vecAddr += cl.laneBytes
 	ce.InstrsRetired++
-	if ce.vecLeft == 0 {
-		ce.vecLineOK = false
-	}
 }
 
 // postLookup records an outstanding shared-cache access and consults
 // the MMU; a page fault stalls the CE before the access is eligible
 // for arbitration.
 func (ce *CE) postLookup(cl *Cluster, addr uint32, write bool, kind lookupKind) {
-	if !ce.wantLookup {
-		cl.wantLookups++
-	}
+	cl.wantMask |= 1 << ce.id
 	ce.wantLookup = true
 	ce.lookupAddr = addr
 	ce.lookupWrite = write
@@ -332,7 +411,6 @@ func (ce *CE) performLookup(cl *Cluster) {
 		ce.InstrsRetired++
 	case lkVector:
 		ce.vecLine = ce.lookupAddr >> cl.lineShift
-		ce.vecLineOK = true
 		ce.consumeElement(cl)
 	case lkFetch:
 		ce.fetched = true

@@ -2,19 +2,33 @@ package fx8
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/trace"
 )
 
 // Cluster is the simulated Computational Cluster: the CEs, shared
-// cache, crossbar, memory buses, CCB and IPs assembled per a Config,
-// stepped one bus cycle at a time.
+// cache, crossbar, memory buses, CCB and IPs assembled per a Config.
+//
+// Time is the bus cycle, and Step executes exactly one.  The core is
+// event driven underneath: a CE whose next cycles only run down its
+// own counters (a stall, a multi-cycle compute, vector elements inside
+// a granted line) sleeps until a wake cycle, and each IP pre-draws
+// its issue trials up to its next transaction.  Step touches only the
+// CEs due at the current cycle and the IPs issuing in it; Advance and
+// StepN jump whole spans in which no CE is due, issuing the IP
+// transactions inside them at their own cycles.  The output is
+// bit-identical to stepping every CE and rolling every IP trial on
+// every cycle, because nothing outside a sleeping CE reads or changes
+// what it runs down, its counters are settled exactly whenever they
+// are read (CE, Snapshot, Preempt), and each IP consumes its private
+// random stream in the same order.
 //
 // An operating system layer installs one cluster process at a time via
 // Run; the process's serial thread executes on one CE and concurrent
 // loops fan out over the CCB.  Snapshot exposes the probe wires after
-// each Step.
+// each Step or Advance.
 type Cluster struct {
 	cfg       Config
 	cycle     uint64
@@ -39,10 +53,20 @@ type Cluster struct {
 	clusterSize  int
 	running      bool
 
-	// wantLookups counts CEs with an outstanding shared-cache access,
-	// so arbitration can skip its scan entirely on the (frequent)
-	// cycles with no requests.
-	wantLookups int
+	// wantMask has bit i set while CE i has an outstanding
+	// shared-cache access, so arbitration visits only the requesters
+	// and skips entirely on the (frequent) cycles with none.
+	wantMask uint8
+
+	// wake[i] is the next cycle CE i must be stepped: never for an
+	// idle or barrier CE until a process start, loop start or loop
+	// end wakes it (the idle CEs of a process are stepped only to
+	// self-schedule the iterations of a loop just started).  horizon
+	// is the earliest wake and nextIP the earliest pre-drawn IP
+	// transaction: cycles before both only count.
+	wake    [trace.NumCE]uint64
+	horizon uint64
+	nextIP  uint64
 
 	// Arbitration scratch (reused each cycle).  capacity is fully
 	// rewritten at the top of every arbitrate pass, so Reset leaves
@@ -79,12 +103,25 @@ func New(cfg Config) *Cluster {
 	for i := range cl.ces {
 		cl.ces[i] = newCE(i, cfg)
 	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0x1F8))
 	cl.ips = make([]IP, cfg.NumIP)
-	for i := range cl.ips {
-		cl.ips[i] = newIP(i, rng.Uint64())
-	}
+	cl.seedIPs(cfg.Seed)
+	cl.wake = sleepingCEs
+	cl.horizon = never
 	return cl
+}
+
+// sleepingCEs is the wake array of a cluster with no process.
+var sleepingCEs = [trace.NumCE]uint64{never, never, never, never, never, never, never, never}
+
+// seedIPs seeds the IP traffic sources from seed and pre-draws each
+// one's first transaction.
+func (cl *Cluster) seedIPs(seed uint64) {
+	rng := rand.New(rand.NewPCG(seed, 0x1F8))
+	cl.nextIP = never
+	for i := range cl.ips {
+		cl.ips[i] = newIP(i, rng.Uint64(), cl.cfg.IPActivity)
+		cl.nextIP = min(cl.nextIP, cl.ips[i].next)
+	}
 }
 
 // Reset returns the cluster to the state New(cfg) would produce with
@@ -100,7 +137,9 @@ func (cl *Cluster) Reset(seed uint64) {
 	cl.serialStream = nil
 	cl.clusterSize = 0
 	cl.running = false
-	cl.wantLookups = 0
+	cl.wantMask = 0
+	cl.wake = sleepingCEs
+	cl.horizon = never
 	cl.reqBuf = cl.reqBuf[:0]
 	for i := range cl.ces {
 		cl.ces[i].hardReset()
@@ -109,10 +148,7 @@ func (cl *Cluster) Reset(seed uint64) {
 	cl.mem.Reset()
 	cl.ccb.Reset()
 	// Re-seed the IP traffic sources exactly as New does.
-	rng := rand.New(rand.NewPCG(seed, 0x1F8))
-	for i := range cl.ips {
-		cl.ips[i] = newIP(i, rng.Uint64())
-	}
+	cl.seedIPs(seed)
 }
 
 // Config returns the cluster's configuration.
@@ -127,8 +163,13 @@ func (cl *Cluster) Mem() *MemSystem { return cl.mem }
 // CCBus exposes the concurrency control bus for statistics inspection.
 func (cl *Cluster) CCBus() *CCB { return cl.ccb }
 
-// CE returns computational element i.
-func (cl *Cluster) CE(i int) *CE { return &cl.ces[i] }
+// CE returns computational element i, its statistics and bus opcode
+// settled to the current cycle.
+func (cl *Cluster) CE(i int) *CE {
+	ce := &cl.ces[i]
+	ce.settle(cl, cl.cycle)
+	return ce
+}
 
 // Cycle returns the number of cycles executed.
 func (cl *Cluster) Cycle() uint64 { return cl.cycle }
@@ -159,6 +200,8 @@ func (cl *Cluster) Run(serial Stream, clusterSize int) error {
 	ce.reset(cl)
 	ce.mode = ceSerial
 	ce.stream = serial
+	cl.wake[0] = cl.cycle
+	cl.horizon = cl.cycle
 	return nil
 }
 
@@ -189,41 +232,102 @@ func (cl *Cluster) Preempt() (serial Stream, ok bool) {
 					s,
 				}}
 			}
+			// The work the CE had left of a stall, compute or
+			// vector run is discarded; what it did is kept.
+			ce.settle(cl, cl.cycle)
 			ce.reset(cl)
 			cl.running = false
+			cl.updateHorizon()
 			return s, true
 		}
 	}
 	return nil, false
 }
 
-// Step executes one bus cycle: crossbar arbitration, then every CE,
-// then the IPs.
+// Step executes one bus cycle: crossbar arbitration, then every CE
+// due at this cycle, then the IPs issuing in it.
 func (cl *Cluster) Step() {
-	cl.arbitrate()
-	for i := range cl.ces {
-		ce := &cl.ces[i]
-		// An idle CE with no loop to join does nothing in step:
-		// every transition into ceIdle leaves busOp at CEIdle, so
-		// skipping preserves the probe wires exactly.  The CCB state
-		// is re-read per CE because an earlier CE may start a loop
-		// this very cycle, which the rest must join immediately.
-		if ce.mode == ceIdle && !cl.ccb.running {
-			continue
+	now := cl.cycle
+	if now >= cl.horizon {
+		cl.arbitrate()
+		for i := range cl.ces {
+			// The wake is re-read per CE because an earlier CE may
+			// start a loop this very cycle, which the rest must join
+			// immediately.
+			if cl.wake[i] > now {
+				continue
+			}
+			ce := &cl.ces[i]
+			if ce.sleep != awake {
+				// A run ending where another begins (a miss stall
+				// into in-line streaming) sleeps on.
+				ce.settle(cl, now)
+				ce.schedule(cl, now)
+				if cl.wake[i] > now {
+					continue
+				}
+			}
+			ce.step(cl)
+			ce.schedule(cl, now+1)
 		}
-		ce.step(cl)
+		cl.updateHorizon()
 	}
-	for i := range cl.ips {
-		cl.ips[i].step(cl)
+	if now >= cl.nextIP {
+		cl.issueIPs(now)
 	}
-	cl.cycle++
+	cl.cycle = now + 1
+}
+
+// Advance executes at least one and at most max cycles and returns
+// how many: one Step when a CE is due now, otherwise a jump to the
+// next cycle a CE is due, issuing the IP transactions that fall
+// inside it at their own cycles.  Every cycle it jumps leaves the
+// CEs' modes, and so ActiveCount and Idle, unchanged.
+func (cl *Cluster) Advance(max int) int {
+	if max <= 1 || cl.cycle >= cl.horizon {
+		cl.Step()
+		return 1
+	}
+	n := uint64(max)
+	if d := cl.horizon - cl.cycle; d < n {
+		n = d
+	}
+	end := cl.cycle + n
+	for cl.nextIP < end {
+		cl.issueIPs(cl.nextIP)
+	}
+	cl.cycle = end
+	return int(n) //fxlint:allow truncation — n <= max, an int
 }
 
 // StepN executes n cycles.
 func (cl *Cluster) StepN(n int) {
-	for i := 0; i < n; i++ {
-		cl.Step()
+	for n > 0 {
+		n -= cl.Advance(n)
 	}
+}
+
+// updateHorizon recomputes the earliest CE wake.
+func (cl *Cluster) updateHorizon() {
+	h := never
+	for _, w := range cl.wake {
+		h = min(h, w)
+	}
+	cl.horizon = h
+}
+
+// issueIPs performs the transactions the IPs pre-drew for cycle now,
+// in IP order, and finds the next one.
+func (cl *Cluster) issueIPs(now uint64) {
+	next := never
+	for i := range cl.ips {
+		ip := &cl.ips[i]
+		if ip.next == now {
+			ip.issue(cl, now)
+		}
+		next = min(next, ip.next)
+	}
+	cl.nextIP = next
 }
 
 // arbitrate grants pending shared-cache lookups up to each module's
@@ -231,26 +335,33 @@ func (cl *Cluster) StepN(n int) {
 // (cycles-waited + configured bias); aging guarantees progress while
 // the bias reproduces the machine's priority asymmetry.
 func (cl *Cluster) arbitrate() {
-	if cl.wantLookups == 0 {
+	if cl.wantMask == 0 {
 		return
 	}
 	// Scores (cycles waited + bias) are computed once while
-	// collecting requests, not per sort comparison.
+	// collecting requests, not per sort comparison.  Requests are
+	// collected in CE order, so equal scores keep it.
 	var scores [trace.NumCE]int
 	reqs := cl.reqBuf[:0]
-	for i := range cl.ces {
+	for m := cl.wantMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
 		ce := &cl.ces[i]
-		if ce.wantLookup && ce.stall == 0 && !ce.granted && ce.mode != ceIdle {
+		if cl.wake[i] <= cl.cycle && !ce.granted && ce.mode != ceIdle {
 			s := ce.waited
 			if cl.arbBias != nil {
-				s += cl.arbBias[ce.id]
+				s += cl.arbBias[i]
 			}
 			scores[len(reqs)] = s
 			reqs = append(reqs, ce)
 		}
 	}
 	cl.reqBuf = reqs
-	if len(reqs) == 0 {
+	switch len(reqs) {
+	case 0:
+		return
+	case 1:
+		// Every module accepts at least one lookup per cycle.
+		reqs[0].granted = true
 		return
 	}
 	for i := range cl.capacity {
@@ -297,7 +408,7 @@ func (cl *Cluster) Snapshot() trace.Record {
 		if i >= trace.NumCE {
 			break
 		}
-		r.CE[i] = cl.ces[i].busOp
+		r.CE[i] = cl.ces[i].opAt(cl.cycle)
 		r.Active[i] = cl.ces[i].Active()
 	}
 	for b := 0; b < cl.mem.NumBuses() && b < trace.NumMemBus; b++ {
@@ -325,6 +436,13 @@ func (cl *Cluster) beginLoop(loop *Loop, ce *CE) {
 	ce.installBody(loop, it)
 	ce.mode = ceConc
 	ce.stall = cl.cfg.CStartCycles
+	// Wake the idle CEs of the process to self-schedule iterations:
+	// those after ce in this cycle, those before it in the next.
+	for i := range cl.ces[:cl.clusterSize] {
+		if cl.ces[i].mode == ceIdle {
+			cl.wake[i] = cl.cycle
+		}
+	}
 }
 
 // endLoop resumes serial execution on the CE that ran the final
@@ -342,6 +460,7 @@ func (cl *Cluster) endLoop() {
 	ce := &cl.ces[last]
 	ce.mode = ceSerial
 	ce.stream = cl.serialStream
+	cl.wake[last] = cl.cycle
 	cl.serialStream = nil
 }
 

@@ -65,6 +65,49 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("non-power-of-two page should be invalid")
 	}
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"NumIP=-1", func(c *Config) { c.NumIP = -1 }},
+		{"IPActivity=-1", func(c *Config) { c.IPActivity = -1 }},
+		{"IPActivity=1001", func(c *Config) { c.IPActivity = 1001 }},
+		{"IPInvalidate=-1", func(c *Config) { c.IPInvalidate = -1 }},
+		{"IPInvalidate=1001", func(c *Config) { c.IPInvalidate = 1001 }},
+	} {
+		bad = DefaultConfig()
+		c.edit(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s should be invalid", c.name)
+		}
+	}
+	for _, edge := range []func(*Config){
+		func(c *Config) { c.NumIP = 0 },
+		func(c *Config) { c.IPActivity = 0 },
+		func(c *Config) { c.IPActivity, c.IPInvalidate = 1000, 1000 },
+	} {
+		ok := DefaultConfig()
+		edge(&ok)
+		if err := ok.Validate(); err != nil {
+			t.Errorf("edge config rejected: %v", err)
+		}
+	}
+}
+
+// TestIPActivityZeroNeverIssues checks that IPs with zero activity
+// leave the memory buses silent and that the cluster still jumps the
+// cycles between CE events.
+func TestIPActivityZeroNeverIssues(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IPActivity = 0
+	cl := New(cfg)
+	cl.StepN(100_000)
+	if cl.Cycle() != 100_000 || cl.Mem().Transactions != 0 {
+		t.Fatalf("cycle %d, %d bus transactions; want 100000 and none", cl.Cycle(), cl.Mem().Transactions)
+	}
+	if n := cl.Advance(1 << 30); n != 1<<30 {
+		t.Fatalf("idle cluster advanced %d cycles, want the whole %d", n, 1<<30)
+	}
 }
 
 func TestNewPanicsOnInvalidConfig(t *testing.T) {

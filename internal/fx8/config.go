@@ -10,6 +10,15 @@
 // probed: per-CE bus opcodes (with miss qualification), memory bus
 // opcodes, and per-CE activity, so the measurement methodology of
 // internal/core can observe it non-intrusively.
+//
+// Cluster.Step executes one bus cycle; Cluster.Advance and StepN jump
+// the cycles in which no CE has to act.  Underneath, the core is event
+// driven: a CE sleeps through stalls, multi-cycle computes and vector
+// elements inside a granted line, and each IP pre-draws its issue
+// trials up to its next transaction.  Every observable — probe wires,
+// statistics, the random streams — is bit-identical to stepping every
+// component on every cycle; the fingerprint table in testdata pins
+// both paths.
 package fx8
 
 import (
@@ -87,9 +96,10 @@ type Config struct {
 	// 4.3.  Length must be at least NumCE; nil means uniform.
 	CCBDispatchExtra []int
 
-	// IPActivity is the per-cycle probability (x1000) that an IP
-	// issues a memory bus transaction; IPInvalidate the probability
-	// (x1000) that an IP write invalidates a shared-cache line.
+	// IPActivity is the per-cycle probability (x1000, 0..1000) that
+	// an idle IP issues a memory bus transaction; 0 means the IPs
+	// never issue.  IPInvalidate is the probability (x1000, 0..1000)
+	// that an IP write invalidates a shared-cache line.
 	IPActivity   int
 	IPInvalidate int
 
@@ -135,6 +145,12 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumCE < 1 || c.NumCE > trace.NumCE:
 		return fmt.Errorf("fx8: NumCE %d out of range 1..%d", c.NumCE, trace.NumCE)
+	case c.NumIP < 0:
+		return fmt.Errorf("fx8: NumIP %d must be non-negative", c.NumIP)
+	case c.IPActivity < 0 || c.IPActivity > 1000:
+		return fmt.Errorf("fx8: IPActivity %d out of range 0..1000", c.IPActivity)
+	case c.IPInvalidate < 0 || c.IPInvalidate > 1000:
+		return fmt.Errorf("fx8: IPInvalidate %d out of range 0..1000", c.IPInvalidate)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("fx8: LineBytes %d must be a positive power of two", c.LineBytes)
 	case c.ICacheBytes < c.LineBytes:

@@ -43,11 +43,26 @@ func (c *Controller) Acquire(mode TriggerMode, maxCycles int) (EventCounts, bool
 // or maxCycles elapse, reporting completion.  The analyzer observes
 // through the probe fast path, so the machine only pays for a full
 // signal snapshot on the cycles the instrument stores a record.
+//
+// While the trigger comparator waits, the machine advances in jumps:
+// a jump of more than one cycle changes no CE's mode, so the activity
+// count holds the value the comparator last saw, and a trigger can
+// only fire on the first cycle of a constant-activity span.  Recording
+// then proceeds one cycle at a time.
 func (c *Controller) run(mode TriggerMode, maxCycles int) bool {
 	c.DAS.Arm(mode)
-	for i := 0; i < maxCycles && c.DAS.Armed(); i++ {
+	for i := 0; i < maxCycles && c.DAS.Armed(); {
+		if c.DAS.Waiting() {
+			n := c.Sys.Advance(maxCycles - i)
+			i += n
+			if n == 1 {
+				c.DAS.ObserveProbe(c.Sys.Cluster)
+			}
+			continue
+		}
 		c.Sys.Step()
 		c.DAS.ObserveProbe(c.Sys.Cluster)
+		i++
 	}
 	return !c.DAS.Armed()
 }

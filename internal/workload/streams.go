@@ -4,13 +4,12 @@
 // jobs, and the arrival structure of a multi-user development machine.
 //
 // The paper measured a real CSRD workload that cannot be replayed;
-// this package is the documented substitution (DESIGN.md section 2).
-// Every property the study's analysis depends on is an explicit knob:
-// the fraction of concurrent code, loop trip counts (including the
-// "two leftover iterations" bias), per-iteration branch variance,
-// dependence distances, the data intensity of parallel versus serial
-// code, and streaming footprints that drive cache misses and page
-// faults.
+// this package is the substitution for it.  Every property the
+// study's analysis depends on is an explicit knob: the fraction of
+// concurrent code, loop trip counts (including the "two leftover
+// iterations" bias), per-iteration branch variance, dependence
+// distances, the data intensity of parallel versus serial code, and
+// streaming footprints that drive cache misses and page faults.
 package workload
 
 import (
