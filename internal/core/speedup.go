@@ -40,8 +40,10 @@ func SpeedupCurve(cfg fx8.Config, build func() fx8.Stream, maxP, limit int) []Sp
 			panic(err)
 		}
 		start := cl.Cycle()
-		for i := 0; i < limit && !cl.Idle(); i++ {
-			cl.Step()
+		// Advance stops at every CE step, the only place the
+		// program can finish.
+		for n := 0; n < limit && !cl.Idle(); {
+			n += cl.Advance(limit - n)
 		}
 		pt := SpeedupPoint{Processors: p}
 		if cl.Idle() {

@@ -44,15 +44,16 @@ func (c *Controller) Acquire(mode TriggerMode, maxCycles int) (EventCounts, bool
 // through the probe fast path, so the machine only pays for a full
 // signal snapshot on the cycles the instrument stores a record.
 //
-// While the trigger comparator waits, the machine advances in jumps:
-// a jump of more than one cycle changes no CE's mode, so the activity
-// count holds the value the comparator last saw, and a trigger can
-// only fire on the first cycle of a constant-activity span.  Recording
-// then proceeds one cycle at a time.
+// While the trigger comparator waits, the machine advances in jumps.
+// In a jump of more than one cycle the scheduler dispatched nothing
+// and no CE stepped, so every cycle of it has the activity count the
+// comparator saw last, and a trigger can only fire on the first cycle
+// of a constant-activity span.  Recording proceeds one cycle at a
+// time.
 func (c *Controller) run(mode TriggerMode, maxCycles int) bool {
 	c.DAS.Arm(mode)
 	for i := 0; i < maxCycles && c.DAS.Armed(); {
-		if c.DAS.Waiting() {
+		if c.DAS.waiting() {
 			n := c.Sys.Advance(maxCycles - i)
 			i += n
 			if n == 1 {

@@ -113,10 +113,10 @@ func (d *DAS) Reset() {
 	d.Acquisitions = 0
 }
 
-// Waiting reports whether the trigger comparator is armed and has
+// waiting reports whether the trigger comparator is armed and has
 // watched at least one cycle without firing: observing a further cycle
 // with the same activity count cannot fire it.
-func (d *DAS) Waiting() bool { return d.armed && !d.triggered && d.prevActive >= 0 }
+func (d *DAS) waiting() bool { return d.armed && !d.triggered && d.prevActive >= 0 }
 
 // Full reports whether the buffer has filled since the last Arm.
 func (d *DAS) Full() bool { return !d.armed && len(d.buf) == d.depth }
