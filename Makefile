@@ -74,7 +74,7 @@ bench:
 	$(call bench_layer,BENCH_fx8.json,ClusterStep|SharedCacheLookup|MemSystem,./internal/fx8,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_concentrix.json,SystemStep|VMTouch,./internal/concentrix,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_monitor.json,CollectSample|DASObserve,./internal/monitor,-benchtime $(BENCHTIME) -count 3)
-	$(call bench_layer,BENCH_core.json,RunRandomSession|RunTriggeredSession,./internal/core,-benchtime 10x -count 2)
+	$(call bench_layer,BENCH_core.json,RunRandomSession|RunTriggeredSession|DecodeStudy|EncodeStudy,./internal/core,-benchtime 10x -count 2)
 	$(call bench_layer,BENCH_experiments.json,SweepPoint,./internal/experiments,-benchtime 5x -count 2)
 	$(call bench_layer,BENCH_service.json,ServiceStudy|MetricsRecord,./internal/service,-benchtime 20x -count 2)
 	$(call bench_layer,BENCH_obs.json,HistogramObserve|PrometheusRender|MutexMapRecord|TracerRecord,./internal/obs,-benchtime $(BENCHTIME) -count 3)

@@ -45,3 +45,39 @@ func BenchmarkRunTriggeredSession(b *testing.B) {
 		RunTriggeredSession(i, spec)
 	}
 }
+
+// BenchmarkEncodeStudy measures EncodeStudy on the quick-scale
+// campaign: the serialization every stored campaign pays once.
+func BenchmarkEncodeStudy(b *testing.B) {
+	st := CachedStudy(QuickScale(), 0)
+	data, err := EncodeStudy(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeStudy(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeStudy measures DecodeStudy on the quick-scale
+// campaign: the reload every cached report, daemon restart and job
+// result fetch pays, most of it in the triggered sessions' buffers.
+func BenchmarkDecodeStudy(b *testing.B) {
+	data, err := EncodeStudy(CachedStudy(QuickScale(), 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeStudy(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,7 +27,11 @@ func EncodeStudy(st *Study) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeStudy deserializes a stored campaign.
+// DecodeStudy deserializes a stored campaign.  It accepts exactly what
+// EncodeStudy writes and restores the same Study.  The triggered
+// sessions' raw buffers, most of a stored campaign's bytes, decode
+// whole arrays at a time through trace.Buffer rather than one
+// reflective call per record.
 func DecodeStudy(data []byte) (*Study, error) {
 	st := new(Study)
 	if err := json.Unmarshal(data, st); err != nil {

@@ -194,7 +194,7 @@ func TestTransitionStats(t *testing.T) {
 		}
 		return r
 	}
-	buffers := [][]trace.Record{
+	buffers := []trace.Buffer{
 		{mk(0, 1, 2, 3, 4, 5, 6, 7)}, // 8-active: not a transition state
 		{mk(0, 7), mk(0, 7), mk(0, 7)},
 		{mk(0, 3, 7)},

@@ -143,7 +143,7 @@ func DefaultTriggeredSpec(mode monitor.TriggerMode, seed uint64) TriggeredSpec {
 type TriggeredSession struct {
 	ID      int
 	Mode    monitor.TriggerMode
-	Buffers [][]trace.Record
+	Buffers []trace.Buffer
 	Samples []monitor.Sample
 
 	// Measures are the grouped sample measures.

@@ -23,7 +23,7 @@ type TransitionStats struct {
 }
 
 // AnalyzeTransitions reduces transition-triggered buffers.
-func AnalyzeTransitions(buffers [][]trace.Record) TransitionStats {
+func AnalyzeTransitions(buffers []trace.Buffer) TransitionStats {
 	var t TransitionStats
 	for _, buf := range buffers {
 		for _, r := range buf {

@@ -1,6 +1,9 @@
 package integration
 
 import (
+	"context"
+	"crypto/sha256"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -180,5 +183,92 @@ func TestCampaignResumesAfterCoordinatorKilledMidRun(t *testing.T) {
 	if stats.UnitsComputed != uint64(total-completed) {
 		t.Errorf("resumed coordinator computed %d units, want only the %d the dead daemon left",
 			stats.UnitsComputed, total-completed)
+	}
+}
+
+// quickStudySHA256 is the pinned EncodeStudy sha256 of the quick-scale
+// campaign, the same fingerprint core's TestQuickStudyEndToEnd checks
+// for local execution.
+const quickStudySHA256 = "0dfadcd070b9a57ce1e539f8ab97eeb4aedc8d3dedbde5a7f27f7dc3450ea761"
+
+// TestStudyJobResultOverWireMatchesFingerprint is the wire-path
+// oracle: a quick-scale study job's result, fetched through
+// GET /v1/jobs/{id}/result and decoded by the client, must re-encode
+// to the pinned fingerprint — from the coordinator that computed it,
+// from a second coordinator over the same store that reruns the job by
+// replaying (and decoding) every stored unit, and from a third that
+// serves the stored study of the finished job.
+func TestStudyJobResultOverWireMatchesFingerprint(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("quick-scale campaign job in -short mode")
+	}
+	cfg := core.QuickScale()
+	spec := coord.JobSpec{Kind: "study", Study: &cfg}
+	total := uint64(len(cfg.Units()))
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	// serve boots a coordinator daemon over the shared store, runs the
+	// job through its HTTP API, checks the fetched result against the
+	// fingerprint and returns the job ID and the coordinator's stats.
+	serve := func(phase string) (string, coord.Stats) {
+		s, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := coord.New(coord.Config{Store: s})
+		defer c.Close()
+		ts := httptest.NewServer(service.New(service.Config{Coordinator: c}))
+		defer ts.Close()
+
+		st, err := coord.SubmitJob(ctx, nil, ts.URL, spec)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", phase, err)
+		}
+		final, err := coord.AwaitJob(ctx, nil, ts.URL, st.ID, 10*time.Millisecond)
+		if err != nil || final.State != coord.StateDone {
+			t.Fatalf("%s: job ended %s (%s): %v", phase, final.State, final.Error, err)
+		}
+		res, err := coord.FetchResult(ctx, nil, ts.URL, st.ID)
+		if err != nil {
+			t.Fatalf("%s: result: %v", phase, err)
+		}
+		data, err := core.EncodeStudy(res.Study)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != quickStudySHA256 {
+			t.Errorf("%s: study sha256 = %s, want %s", phase, got, quickStudySHA256)
+		}
+		return st.ID, c.Stats()
+	}
+
+	id, got := serve("computed")
+	if got.UnitsComputed != total || got.UnitsReplayed != 0 {
+		t.Errorf("first coordinator computed %d and replayed %d units, want %d computed", got.UnitsComputed, got.UnitsReplayed, total)
+	}
+
+	// Without its record the job restarts on the next coordinator; the
+	// unit entries stay, so it replays every one of them.
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := store.Key("job/v1", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, got = serve("replayed"); got.UnitsReplayed != total || got.UnitsComputed != 0 {
+		t.Errorf("second coordinator replayed %d and computed %d units, want %d replayed", got.UnitsReplayed, got.UnitsComputed, total)
+	}
+
+	// The job is done again, so a third coordinator serves the stored
+	// study.
+	if _, got = serve("stored"); got.UnitsReplayed != 0 || got.UnitsComputed != 0 {
+		t.Errorf("third coordinator replayed %d and computed %d units, want the stored study", got.UnitsReplayed, got.UnitsComputed)
 	}
 }
