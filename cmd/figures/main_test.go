@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cli/clitest"
 )
 
 func TestRunSingleFigure(t *testing.T) {
@@ -41,4 +43,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Error("unknown flag should error")
 	}
+}
+
+// TestRunBackendsMatchesLocal: the quick campaign's figures are
+// byte-identical through a two-backend fleet, with and without
+// -cache, and a stored campaign never touches the fleet.
+func TestRunBackendsMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two fleet campaigns in -short mode")
+	}
+	clitest.CheckFleetRuns(t, run, "-scale", "quick")
 }

@@ -3,9 +3,12 @@
 // prints the reduced event counts and concurrency measures, as the
 // study's measurement control scripts did.  Multiple sessions (the
 // study's "different measurement days") fan out over the session
-// engine's worker pool, or, with -backends, shard across a fleet of
-// fx8d nodes (failed or slow backends are retried and hedged; local
-// compute is the fallback).
+// engine's worker pool.
+//
+// With -backends, the sessions run as a temporary coordinator job
+// over that fixed fleet of fx8d nodes: backends pull sessions, a
+// failing backend is abandoned, and whatever the fleet could not
+// serve is computed locally.
 //
 // With -job, the sessions are instead submitted to an fx8d
 // coordinator as one persistent job (POST /v1/jobs) and polled to
@@ -48,58 +51,48 @@ type sessionsKey struct {
 	Sessions int
 }
 
-// runSessions fans n session units over the runner (local pool or a
-// backend fleet) and unwraps one result field per unit, in session
-// order: mkUnit builds unit i, pick selects the session from its
-// result (nil marks a defective runner result).  Like the sweep and
-// campaign paths, a defective fleet — a backend answering 200 with
-// the wrong shape — costs a local recompute, never the run.
-//
-// With jobURL the units are instead submitted to an fx8d coordinator
-// as one persistent job and the job's result unwrapped; job failures
-// are the coordinator's to retry (it drains failed backends locally),
-// so there is no client-side fallback on that path.
-func runSessions[T any](jobURL string, workers int, runner core.StudyRunner, n int,
+// runSessions runs n session units and unwraps one result field per
+// unit, in session order: mkUnit builds unit i, pick selects the
+// session from its result.  The units run on the local pool, as a
+// temporary job over the -backends fleet (checkpointed into st), or,
+// with jobURL, as a persistent job on an fx8d coordinator.  Job
+// failures are the coordinator's to retry (it drains failed backends
+// locally), so there is no client-side fallback.
+func runSessions[T any](jobURL string, fleet []string, st *store.Store, workers, n int,
 	mkUnit func(i int) core.StudyUnit, pick func(core.StudyUnitResult) *T) ([]*T, error) {
 	units := make([]core.StudyUnit, n)
 	for i := range units {
 		units[i] = mkUnit(i)
 	}
-	unwrap := func(results []core.StudyUnitResult) ([]*T, error) {
-		out := make([]*T, len(results))
-		for i, res := range results {
-			p := pick(res)
-			if p == nil {
-				return nil, fmt.Errorf("runner returned no session for unit %d", i+1)
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
-	if jobURL != "" {
-		res, err := coord.SubmitAndWait(context.Background(), nil, jobURL,
-			coord.JobSpec{Kind: "sessions", Units: units}, 100*time.Millisecond)
+	spec := coord.JobSpec{Kind: "sessions", Units: units}
+	var results []core.StudyUnitResult
+	switch {
+	case jobURL != "":
+		res, err := coord.SubmitAndWait(context.Background(), nil, jobURL, spec, 100*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
-		if len(res.Sessions) != len(units) {
-			return nil, fmt.Errorf("job returned %d results for %d units", len(res.Sessions), len(units))
-		}
-		return unwrap(res.Sessions)
-	}
-	run := func(r core.StudyRunner) ([]*T, error) {
-		results, err := engine.RunAll(context.Background(), workers, units, r, nil)
+		results = res.Sessions
+	case len(fleet) > 0:
+		res, err := cli.FleetJob(context.Background(), fleet, st, workers, spec)
 		if err != nil {
 			return nil, err
 		}
-		return unwrap(results)
+		results = res.Sessions
+	default:
+		var err error
+		if results, err = engine.RunAll(context.Background(), workers, units, core.LocalStudyRunner(), nil); err != nil {
+			return nil, err
+		}
 	}
-	if runner == nil {
-		return run(core.LocalStudyRunner())
+	if len(results) != len(units) {
+		return nil, fmt.Errorf("job returned %d results for %d units", len(results), len(units))
 	}
-	out, err := run(runner)
-	if err != nil {
-		return run(core.LocalStudyRunner())
+	out := make([]*T, len(results))
+	for i, res := range results {
+		if out[i] = pick(res); out[i] == nil {
+			return nil, fmt.Errorf("no session returned for unit %d", i+1)
+		}
 	}
 	return out, nil
 }
@@ -113,7 +106,7 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "parallel session workers (0 = one per CPU)")
 	wave := fs.Int("wave", 0, "render the first N records of the first buffer as a waveform")
 	cacheDir := fs.String("cache", "", "campaign store directory (shared with the other tools and fx8d)")
-	backends := fs.String("backends", "", "comma-separated fx8d backends (host:port,...) to shard sessions across")
+	backends := fs.String("backends", "", "comma-separated fx8d backends (host:port,...) to run sessions on")
 	jobURL := fs.String("job", "", "fx8d coordinator URL to submit the sessions to as a persistent job (empty = run here)")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
@@ -129,12 +122,12 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	key := sessionsKey{Mode: *mode, Seed: *seed, Samples: *samples, Sessions: *sessions}
-	runner := remote.StudyRunner(remote.ParseBackends(*backends))
+	fleet := remote.ParseBackends(*backends)
 
 	switch *mode {
 	case "random":
 		runs, err := store.GetOrComputeJSON(st, "measure-random/v1", key, func() ([]*core.Session, error) {
-			return runSessions(*jobURL, *workers, runner, *sessions,
+			return runSessions(*jobURL, fleet, st, *workers, *sessions,
 				func(i int) core.StudyUnit {
 					spec := core.DefaultSessionSpec(*seed + uint64(i))
 					spec.Samples = *samples
@@ -170,7 +163,7 @@ func run(args []string, stdout io.Writer) error {
 			trigger = monitor.TriggerTransition
 		}
 		runs, err := store.GetOrComputeJSON(st, "measure-triggered/v1", key, func() ([]*core.TriggeredSession, error) {
-			return runSessions(*jobURL, *workers, runner, *sessions,
+			return runSessions(*jobURL, fleet, st, *workers, *sessions,
 				func(i int) core.StudyUnit {
 					spec := core.DefaultTriggeredSpec(trigger, *seed+uint64(i))
 					spec.Samples = *samples

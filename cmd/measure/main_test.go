@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli/clitest"
 )
 
 func TestRunRandomSession(t *testing.T) {
@@ -110,4 +112,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Error("unknown flag should error")
 	}
+}
+
+// TestRunBackendsMatchesLocal: triggered sessions through a live
+// fleet match the local sessions.
+func TestRunBackendsMatchesLocal(t *testing.T) {
+	clitest.CheckFleetRuns(t, run, "-mode", "transition", "-samples", "1", "-seed", "17", "-sessions", "2")
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cli/clitest"
 )
 
 func TestRunCESweep(t *testing.T) {
@@ -58,4 +60,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Error("unknown flag should error")
 	}
+}
+
+// TestRunBackendsMatchesLocal: a sweep through a live fleet matches
+// the local sweep.  A distinct seed keeps these runs out of the
+// process-wide sweep memo the other tests populate.
+func TestRunBackendsMatchesLocal(t *testing.T) {
+	clitest.CheckFleetRuns(t, run, "-kind", "ce", "-samples", "1", "-seed", "29")
 }

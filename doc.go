@@ -38,27 +38,25 @@
 // Concurrent requests for the same configuration singleflight down to
 // one campaign run.
 //
-// Where a unit of work executes is abstracted behind engine.Runner
-// (unit in, result out): engine.Local computes sessions and sweep
-// points in-process, and the internal/remote client shards them
-// across a fleet of fx8d backends via POST /v1/run/session and POST
-// /v1/run/sweep — rerouting failed units, hedging slow ones, and
-// falling back to local compute when no backend answers.  Large
-// campaigns batch contiguous session units through POST
-// /v1/run/sessions (engine.BatchRunner); the engine caps batch size
-// so batching never starves the worker pool, and a backend without
-// the endpoint degrades quietly to per-unit requests.  Results are
-// reassembled in unit order, so sharded output — batched or not — is
-// byte-identical to local output for every backend count; cmd/sweep,
-// cmd/measure and cmd/figures surface the fleet as -backends
-// host:port,....  The in-process memo behind the caches (engine.Memo)
+// Sessions and sweep points are independent units of work (unit in,
+// result out, engine.Runner): engine.Local computes them in-process,
+// and the fleet coordinator (internal/coord) runs them as jobs across
+// fx8d backends, which pull units from a work-stealing ledger
+// (engine.Ledger) and POST each to /v1/run/session or /v1/run/sweep
+// through internal/remote's transport.  A failing backend is
+// abandoned and its units are stolen by peers or computed locally.
+// Results are reassembled in unit order, so fleet output is
+// byte-identical to local output for every backend count.  cmd/sweep,
+// cmd/measure and cmd/figures run a temporary job over a fixed fleet
+// with -backends host:port,..., or submit a persistent one to a
+// daemon with -job URL.  The in-process memo behind the caches (engine.Memo)
 // never evicts an in-flight entry, preserving singleflight under cap
 // pressure.
 //
 // The fx8d daemon (cmd/fx8d, internal/service) serves the campaign's
 // artefacts over HTTP: the study summary, every table and figure, and
 // the parameter sweeps as addressable JSON resources, plus per-unit
-// and batched execution endpoints for sharding, an SSE progress
+// and batched unit-execution endpoints for fleet jobs, an SSE progress
 // stream for in-flight campaigns, per-endpoint latency and cache
 // hit-rate counters, bounded request admission with a bounded wait
 // queue (excess load shed as 429 + Retry-After), strong ETags with

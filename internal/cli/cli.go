@@ -2,7 +2,7 @@
 // functions to process exit semantics: -h/-help exits 0 after the
 // flag package prints usage, flag-parse errors exit 2 without being
 // printed a second time, and every other error is logged once and
-// exits 1.
+// exits 1.  FleetJob is the tools' shared -backends path.
 package cli
 
 import (

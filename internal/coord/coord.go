@@ -25,7 +25,8 @@
 // all the coordinator computes in-process.  Either way the assembled
 // result is byte-identical to local execution, because units are pure
 // functions of their spec and assembly reduces them in canonical unit
-// order.
+// order.  Run wraps one job in a temporary coordinator over a fixed
+// fleet: the cmd tools' -backends path.
 //
 // Exactly-once across coordinators is a store lease: before running a
 // job, a coordinator claims the job's lease key with store.Claim
@@ -333,6 +334,39 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, bool, error) {
 	c.addToIndex(id)
 	c.start(j)
 	return j.status(), created, nil
+}
+
+// Run executes spec as a job on a temporary coordinator built from
+// cfg and returns its result: the cmd tools' -backends path, whose
+// Registry lists a fixed fleet.  It submits the job, waits for it and
+// closes the coordinator.  When ctx ends first the job is left
+// resumable in cfg.Store, as Close leaves it.  A job that ends failed
+// or canceled, or whose lease another coordinator holds, is an error.
+func Run(ctx context.Context, cfg Config, spec JobSpec) (*JobResult, error) {
+	c := New(cfg)
+	defer c.Close()
+	st, _, err := c.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	j := c.jobs[st.ID]
+	c.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if st, err = c.Status(st.ID); err != nil {
+		return nil, err
+	}
+	switch {
+	case st.State == StateDone:
+		return c.Result(st.ID)
+	case !TerminalState(st.State):
+		return nil, fmt.Errorf("coord: job %s is %s under another coordinator's lease", st.ID, st.State)
+	}
+	return nil, fmt.Errorf("coord: job %s ended %s: %s", st.ID, st.State, st.Error)
 }
 
 // track registers a job locally, resolving the race where two Submits
@@ -650,14 +684,17 @@ func (c *Coordinator) run(ctx context.Context, j *job) {
 // execute runs a job's units and assembles its result.
 func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 	j.mu.Lock()
-	spec := j.rec.Spec
+	spec, id := j.rec.Spec, j.rec.ID
 	j.mu.Unlock()
 	study, sweep, keys, err := specUnits(spec)
 	if err != nil {
 		return nil, err
 	}
+	// Every unit POST carries the job ID, so GET /v1/trace/{job-id}
+	// on the backends reconstructs where the job's time went.
+	ctx = obs.WithRequestID(ctx, id)
 	if study != nil {
-		results, err := runUnits(ctx, c, j, study, keys, remote.SessionPath, core.RunStudyUnit)
+		results, err := runUnits(ctx, c, j, study, keys, remote.SessionPath, core.RunStudyUnit, checkSession)
 		if err != nil {
 			return nil, err
 		}
@@ -681,7 +718,7 @@ func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 		}
 		return &JobResult{Study: st}, nil
 	}
-	results, err := runUnits(ctx, c, j, sweep, keys, remote.SweepPath, experiments.RunSweepUnit)
+	results, err := runUnits(ctx, c, j, sweep, keys, remote.SweepPath, experiments.RunSweepUnit, checkSweepPoint)
 	if err != nil {
 		return nil, err
 	}
@@ -721,11 +758,33 @@ func assembleStudy(ctx context.Context, cfg core.StudyConfig, units []core.Study
 	return core.RunStudyRunner(ctx, cfg, 1, replay, nil)
 }
 
+// checkSession rejects a session result that lacks the session kind
+// its unit asked for: what a backend answering 200 with the wrong
+// shape (version skew, a wrong service on the port) decodes to.
+func checkSession(u core.StudyUnit, r core.StudyUnitResult) error {
+	if (u.Random != nil && r.Random == nil) || (u.Triggered != nil && r.Triggered == nil) {
+		return fmt.Errorf("coord: backend returned no session for unit %d", u.ID)
+	}
+	return nil
+}
+
+// checkSweepPoint rejects an unlabeled sweep point: RunSweepUnit
+// labels every point, so an empty label marks a wrong-shape answer.
+func checkSweepPoint(u experiments.SweepUnit, p experiments.SweepPoint) error {
+	if p.Label == "" {
+		return fmt.Errorf("coord: backend returned an empty point for sweep unit %s=%d", u.Kind, u.Value)
+	}
+	return nil
+}
+
 // runUnits is the dispatch loop: replay completed units from the
 // store, push the rest into a per-backend ledger, and drain it with
 // pulling workers — per-backend ones first, a local pool for whatever
-// the fleet could not serve.
-func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, keys []string, path string, local func(U) (R, error)) ([]R, error) {
+// the fleet could not serve.  A dispatched result must pass check
+// before it is stored: a wrong-shape answer counts as a failure of
+// its backend, so it never reaches the shared unit cache.
+func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, keys []string, path string,
+	local func(U) (R, error), check func(U, R) error) ([]R, error) {
 	results := make([]R, len(units))
 	var pending []int
 	for i := range units {
@@ -762,6 +821,10 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 		<-ctx.Done()
 		led.Cancel()
 	}()
+	// idle ends every backoff wait once the last unit completes: a
+	// worker sleeping out a failure has nothing left to retry.
+	idle, drained := context.WithCancel(ctx)
+	defer drained()
 
 	var failMu sync.Mutex
 	var failErr error
@@ -797,16 +860,19 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 		if due {
 			c.persist(j)
 		}
+		if final {
+			drained()
+		}
 	}
 
 	var wg sync.WaitGroup
 	for _, addr := range backends {
-		base := baseURL(addr)
+		url := baseURL(addr) + path
 		for w := 0; w < c.cfg.PerBackend; w++ {
 			wg.Add(1)
-			go func(owner, base string) {
+			go func(owner string) {
 				defer wg.Done()
-				failures := 0
+				failures, sheds := 0, 0
 				for {
 					ls, ok := led.Lease(owner)
 					if !ok {
@@ -817,33 +883,43 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 						return
 					}
 					c.rmetrics.Attempts.Inc()
-					res, err := remote.PostUnit[U, R](ctx, c.httpc, base+path, units[ls.Item], c.cfg.UnitTimeout)
-					if err != nil {
-						led.Release(ls)
-						failures++
-						if ctx.Err() != nil || failures >= c.cfg.MaxFailures {
-							// Abandon this backend: its remaining
-							// units are stolen by peers or drained
-							// locally below.
-							c.rmetrics.GiveUps.Inc()
-							return
-						}
-						// Back off under the retry policy before the
-						// next lease — honoring the backend's
-						// Retry-After when it shed — instead of
-						// hammering a struggling node.
-						hint, _ := retry.AfterHint(err)
-						c.rmetrics.Retries.Inc()
-						if c.retry.Wait(ctx, failures, hint) != nil {
-							c.rmetrics.GiveUps.Inc()
-							return
-						}
+					u := units[ls.Item]
+					res, err := remote.PostUnit[U, R](ctx, c.httpc, url, u, c.cfg.UnitTimeout)
+					if err == nil {
+						err = check(u, res)
+					}
+					if err == nil {
+						failures, sheds = 0, 0
+						completeUnit(ls, res)
 						continue
 					}
-					failures = 0
-					completeUnit(ls, res)
+					led.Release(ls)
+					// A shed (429) is overload, not sickness: it waits out
+					// the backend's Retry-After and does not count toward
+					// MaxFailures, which would amplify the overload into an
+					// outage.  A backend that keeps shedding is given up on
+					// only when the policy's attempt budget runs out.
+					hint, shed := retry.AfterHint(err)
+					if shed {
+						sheds++
+					} else {
+						failures++
+					}
+					if ctx.Err() != nil || failures >= c.cfg.MaxFailures || sheds >= c.retry.Attempts() {
+						// Abandon this backend: its remaining units are
+						// stolen by peers or drained locally below.
+						c.rmetrics.GiveUps.Inc()
+						return
+					}
+					c.rmetrics.Retries.Inc()
+					if c.retry.Wait(idle, failures+sheds, hint) != nil {
+						if ctx.Err() != nil {
+							c.rmetrics.GiveUps.Inc()
+						}
+						return
+					}
 				}
-			}(addr, base)
+			}(addr)
 		}
 	}
 	wg.Wait()
@@ -903,8 +979,8 @@ func (j *job) specWorkers() int {
 	return j.rec.Spec.Workers
 }
 
-// baseURL normalizes a backend address to a URL prefix, the same way
-// the remote client does.
+// baseURL normalizes a backend address ("host:port" or a URL) to a
+// URL prefix.
 func baseURL(addr string) string {
 	url := addr
 	if !strings.Contains(url, "://") {

@@ -25,10 +25,10 @@ type Member struct {
 // Registry tracks dynamic fleet membership: backends announce
 // themselves with POST /v1/backends/register and keep their entry
 // alive by re-registering before the TTL lapses.  Snapshot returns
-// the live members sorted by address, which makes Registry a
-// remote.BackendSource — clients and the coordinator's dispatch loop
-// follow joins and leaves without reconstruction.  A lapsed member is
-// dropped lazily on the next read; there is no reaper goroutine.
+// the live members sorted by address; the dispatch loop reads it once
+// per job, so joins and leaves take effect at the next job.  A lapsed
+// member is dropped lazily on the next read; there is no reaper
+// goroutine.
 type Registry struct {
 	mu      sync.Mutex
 	members map[string]time.Time // addr -> heartbeat deadline
@@ -68,7 +68,7 @@ func (r *Registry) Deregister(addr string) {
 }
 
 // Snapshot returns the live member addresses, sorted, dropping lapsed
-// entries as a side effect.  It implements remote.BackendSource.
+// entries as a side effect.
 func (r *Registry) Snapshot() []string {
 	now := time.Now()
 	r.mu.Lock()

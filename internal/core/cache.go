@@ -80,7 +80,6 @@ type StudyCache struct {
 	OnProgress func(cfg StudyConfig, done, total int)
 
 	memo    engine.Memo[StudyConfig, *Study]
-	runner  atomic.Pointer[StudyRunner]
 	store   atomic.Pointer[store.Store]
 	gets    atomic.Uint64
 	disk    atomic.Uint64
@@ -108,20 +107,6 @@ func (c *StudyCache) SetStore(s *store.Store) { c.store.Store(s) }
 
 // Store returns the attached disk tier, or nil.
 func (c *StudyCache) Store() *store.Store { return c.store.Load() }
-
-// SetRunner installs (or, with nil, removes) the session runner the
-// compute path executes campaign units on — the hook the cmd tools
-// use to shard campaigns across fx8d backends (-backends).  Without
-// one, sessions compute in-process on the engine's worker pool.
-// Cache tiers are consulted before the runner, so memoized or stored
-// campaigns never touch a backend.
-func (c *StudyCache) SetRunner(r StudyRunner) {
-	if r == nil {
-		c.runner.Store(nil)
-		return
-	}
-	c.runner.Store(&r)
-}
 
 // Stats returns a snapshot of the cache's outcome counters.
 func (c *StudyCache) Stats() CacheStats {
@@ -165,19 +150,7 @@ func (c *StudyCache) Get(cfg StudyConfig, workers int) *Study {
 			// observers see it running rather than idle.
 			progress(0, cfg.TotalSessions())
 		}
-		runner := LocalStudyRunner()
-		sharded := false
-		if p := c.runner.Load(); p != nil {
-			runner, sharded = *p, true
-		}
-		st, err := RunStudyRunner(context.Background(), cfg, workers, runner, progress)
-		if err != nil && sharded {
-			// A sharded run can fail if a backend answers with a
-			// well-formed but empty unit result (version skew, a
-			// wrong service on the port).  The campaign must not be
-			// lost to a defective fleet: recompute locally.
-			st, err = RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), progress)
-		}
+		st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), progress)
 		if err != nil {
 			// Unreachable: the local runner executes units produced
 			// by cfg.Units(), every one of which carries a spec.
@@ -292,15 +265,4 @@ func StudyAt(cacheDir string, cfg StudyConfig, workers int) (*Study, error) {
 		DefaultStudyCache.EnsureStored(cfg, st)
 	}
 	return st, nil
-}
-
-// StudyAtRunner is StudyAt computing through the given session runner
-// — the cmd tools' -backends path.  The runner is installed on the
-// process-wide DefaultStudyCache (a CLI process decides its execution
-// mode once, at flag-parse time); nil restores in-process compute.
-// Cache tiers are unaffected: memoized or stored campaigns are served
-// without consulting the runner.
-func StudyAtRunner(cacheDir string, cfg StudyConfig, workers int, r StudyRunner) (*Study, error) {
-	DefaultStudyCache.SetRunner(r)
-	return StudyAt(cacheDir, cfg, workers)
 }

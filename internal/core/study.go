@@ -242,7 +242,7 @@ func RunStudyUnit(u StudyUnit) (StudyUnitResult, error) {
 }
 
 // StudyRunner executes campaign session units: the engine's local
-// pool, or the internal/remote client sharding across fx8d backends.
+// pool, or a replay of results a fleet job already computed.
 type StudyRunner = engine.Runner[StudyUnit, StudyUnitResult]
 
 // LocalStudyRunner returns the in-process StudyRunner.

@@ -40,7 +40,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -351,11 +350,12 @@ func (c *Memo[K, V]) Purge() {
 
 // Runner executes one independent work unit — a simulator session, a
 // sweep point — and returns its result: unit in, result out.  The
-// engine's worker pool (Local) computes units in-process; the
-// internal/remote client ships them to fx8d backends.  RunUnit must
-// be safe for concurrent calls on distinct units, and because every
-// unit is a pure function of its description, a Runner may execute a
-// unit more than once (retries, hedges) without changing the result.
+// engine's worker pool (Local) computes units in-process; fleet
+// execution leases units through a Ledger instead (internal/coord).
+// RunUnit must be safe for concurrent calls on distinct units, and
+// because every unit is a pure function of its description, a Runner
+// may execute a unit more than once (retries) without changing the
+// result.
 type Runner[U, R any] interface {
 	RunUnit(ctx context.Context, unit U) (R, error)
 }
@@ -372,63 +372,13 @@ func (l Local[U, R]) RunUnit(_ context.Context, unit U) (R, error) {
 	return l.Fn(unit)
 }
 
-// Sizer is optionally implemented by Runners that know their own
-// ideal concurrency — a remote client sized by its backend count
-// rather than by local CPUs.  RunAll consults it when the caller
-// requests the default worker count.
-type Sizer interface {
-	// Concurrency resolves a requested worker count (<= 0 meaning
-	// "you choose") to the pool size the Runner wants driving it.
-	Concurrency(requested int) int
-}
-
-// BatchRunner is optionally implemented by Runners that can execute
-// many units in one round trip — the remote client's batched POST
-// amortizes the per-unit HTTP and JSON overhead that dominates the
-// sharded path.  RunAll detects it and dispatches batches instead of
-// units; because batches are cut from the unit slice in index order
-// and each batch returns one result per unit in unit order, batched
-// output is identical to unbatched output.
-type BatchRunner[U, R any] interface {
-	Runner[U, R]
-
-	// BatchUnits returns the preferred number of units per batch;
-	// values <= 1 disable batching and RunAll falls back to RunUnit.
-	BatchUnits() int
-
-	// RunBatch executes units and returns exactly one result per
-	// unit, in unit order.
-	RunBatch(ctx context.Context, units []U) ([]R, error)
-}
-
 // RunAll drives every unit through r on a bounded worker pool and
-// returns results in unit order, so sharded execution is
-// byte-identical to local execution for every worker and backend
-// count.  workers <= 0 selects DefaultWorkers unless r implements
-// Sizer, which then chooses.  progress follows the MapProgress
-// contract; nil disables it.  The first unit error cancels ctx for
-// the remaining units and is returned after the pool drains.
+// returns results in unit order, so output is identical for every
+// worker count and unit scheduling.  workers <= 0 selects
+// DefaultWorkers.  progress follows the MapProgress contract; nil
+// disables it.  The first unit error cancels ctx for the remaining
+// units and is returned after the pool drains.
 func RunAll[U, R any](ctx context.Context, workers int, units []U, r Runner[U, R], progress func(done, total int)) ([]R, error) {
-	if s, ok := any(r).(Sizer); ok && workers <= 0 {
-		workers = s.Concurrency(workers)
-	}
-	if br, ok := any(r).(BatchRunner[U, R]); ok {
-		if size := br.BatchUnits(); size > 1 && len(units) > 1 {
-			// Batching amortizes per-unit round trips; it must not
-			// starve the pool.  Cap the batch size so every worker
-			// (and hence every backend keeping the pool busy) still
-			// gets work — small runs degrade to the per-unit path,
-			// large runs batch at full size.
-			if w := clamp(workers, len(units)); w > 1 {
-				if perWorker := (len(units) + w - 1) / w; size > perWorker {
-					size = perWorker
-				}
-			}
-			if size > 1 {
-				return runAllBatches(ctx, workers, size, units, br, progress)
-			}
-		}
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -447,53 +397,6 @@ func RunAll[U, R any](ctx context.Context, workers int, units []U, r Runner[U, R
 		}
 		return res
 	}, progress)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// runAllBatches is RunAll's batched dispatch: units are cut into
-// contiguous index-order batches of at most size, batches fan out
-// over the pool, and each batch's results land at its units' offsets
-// — so results stay in unit order for every worker count and batch
-// size.  progress reports completed units (whole batches at a time),
-// and the first batch error cancels the remaining batches.
-func runAllBatches[U, R any](ctx context.Context, workers, size int, units []U, r BatchRunner[U, R], progress func(done, total int)) ([]R, error) {
-	n := len(units)
-	batches := (n + size - 1) / size
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     atomic.Int64
-	)
-	out := make([]R, n)
-	Map(workers, batches, func(bi int) struct{} {
-		lo := bi * size
-		hi := min(lo+size, n)
-		res, err := r.RunBatch(ctx, units[lo:hi])
-		if err == nil && len(res) != hi-lo {
-			err = fmt.Errorf("engine: batch returned %d results for %d units", len(res), hi-lo)
-		}
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			cancel()
-			return struct{}{}
-		}
-		copy(out[lo:hi], res)
-		if progress != nil {
-			// done sums batch sizes over disjoint [lo,hi) windows of
-			// the n units, so it never exceeds n, an int.
-			progress(int(done.Add(int64(hi-lo))), n) //fxlint:allow truncation — done <= n
-		}
-		return struct{}{}
-	})
 	if firstErr != nil {
 		return nil, firstErr
 	}

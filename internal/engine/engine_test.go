@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,8 +348,8 @@ func TestRunAllPropagatesFirstError(t *testing.T) {
 }
 
 // TestRunAllCancelsContextOnError: the ctx handed to remaining units
-// is canceled once any unit fails, so remote units fail fast instead
-// of completing work whose batch is already doomed.  The assertion is
+// is canceled once any unit fails, so the remaining units fail fast
+// instead of completing work whose run is already doomed.  The assertion is
 // timing: without cancellation the surviving units would sleep out
 // their full 5s budget.
 func TestRunAllCancelsContextOnError(t *testing.T) {
@@ -379,181 +378,6 @@ func TestRunAllCancelsContextOnError(t *testing.T) {
 type runnerFunc[U, R any] func(ctx context.Context, u U) (R, error)
 
 func (f runnerFunc[U, R]) RunUnit(ctx context.Context, u U) (R, error) { return f(ctx, u) }
-
-// sizedRunner tests the Sizer escape hatch.
-type sizedRunner struct{ picked atomic.Int32 }
-
-func (s *sizedRunner) RunUnit(_ context.Context, u int) (int, error) { return u, nil }
-func (s *sizedRunner) Concurrency(requested int) int {
-	s.picked.Add(1)
-	return 2
-}
-
-func TestRunAllConsultsSizer(t *testing.T) {
-	var r sizedRunner
-	if _, err := RunAll(context.Background(), 0, []int{1, 2, 3}, &r, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r.picked.Load() == 0 {
-		t.Error("RunAll ignored the Runner's Sizer with workers <= 0")
-	}
-	r.picked.Store(0)
-	if _, err := RunAll(context.Background(), 3, []int{1, 2, 3}, &r, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r.picked.Load() != 0 {
-		t.Error("RunAll consulted Sizer despite an explicit worker count")
-	}
-}
-
-// batchRunner tests the BatchRunner dispatch: it records batch sizes
-// and can fail or mis-size a chosen batch.
-type batchRunner struct {
-	size      int
-	mu        sync.Mutex
-	batches   [][]int
-	unitCalls atomic.Int32
-	failAt    int // 1-based batch ordinal to fail, 0 = never
-	shortAt   int // 1-based batch ordinal to return short, 0 = never
-}
-
-func (b *batchRunner) RunUnit(_ context.Context, u int) (int, error) {
-	b.unitCalls.Add(1)
-	return u * u, nil
-}
-
-func (b *batchRunner) BatchUnits() int { return b.size }
-
-func (b *batchRunner) RunBatch(_ context.Context, units []int) ([]int, error) {
-	b.mu.Lock()
-	b.batches = append(b.batches, append([]int(nil), units...))
-	ordinal := len(b.batches)
-	b.mu.Unlock()
-	if ordinal == b.failAt {
-		return nil, errors.New("batch failed")
-	}
-	out := make([]int, len(units))
-	for i, u := range units {
-		out[i] = u * u
-	}
-	if ordinal == b.shortAt {
-		out = out[:len(out)-1]
-	}
-	return out, nil
-}
-
-func TestRunAllDispatchesBatches(t *testing.T) {
-	units := make([]int, 20)
-	for i := range units {
-		units[i] = i
-	}
-	r := &batchRunner{size: 5}
-	got, err := RunAll(context.Background(), 4, units, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-	if r.unitCalls.Load() != 0 {
-		t.Errorf("RunUnit called %d times; batches should carry all units", r.unitCalls.Load())
-	}
-	if len(r.batches) != 4 {
-		t.Errorf("got %d batches, want 4 (20 units / 5 per batch)", len(r.batches))
-	}
-	for _, b := range r.batches {
-		for i := 1; i < len(b); i++ {
-			if b[i] != b[i-1]+1 {
-				t.Errorf("batch %v is not a contiguous index-order run", b)
-			}
-		}
-	}
-}
-
-func TestRunAllCapsBatchSizeToKeepWorkersFed(t *testing.T) {
-	// 8 units, batch size 16, 4 workers: a single 8-unit batch would
-	// idle three workers, so the engine cuts per-worker batches of 2.
-	units := make([]int, 8)
-	for i := range units {
-		units[i] = i
-	}
-	r := &batchRunner{size: 16}
-	got, err := RunAll(context.Background(), 4, units, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-	if r.unitCalls.Load() != 0 {
-		t.Errorf("RunUnit called %d times, want batched dispatch", r.unitCalls.Load())
-	}
-	if len(r.batches) != 4 {
-		t.Errorf("got %d batches, want 4 (one per worker)", len(r.batches))
-	}
-}
-
-func TestRunAllBatchSizeOneUsesUnitPath(t *testing.T) {
-	// 2 units across 2 workers leave one unit per worker: batching
-	// would amortize nothing, so the per-unit path runs.
-	r := &batchRunner{size: 16}
-	got, err := RunAll(context.Background(), 2, []int{3, 4}, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 9 || got[1] != 16 {
-		t.Fatalf("got %v, want [9 16]", got)
-	}
-	if len(r.batches) != 0 {
-		t.Errorf("got %d batches, want unit-path dispatch", len(r.batches))
-	}
-	if r.unitCalls.Load() != 2 {
-		t.Errorf("RunUnit called %d times, want 2", r.unitCalls.Load())
-	}
-}
-
-func TestRunAllBatchErrorPropagates(t *testing.T) {
-	units := make([]int, 20)
-	for i := range units {
-		units[i] = i
-	}
-	r := &batchRunner{size: 5, failAt: 2}
-	if _, err := RunAll(context.Background(), 1, units, r, nil); err == nil {
-		t.Error("want error from failed batch")
-	}
-	short := &batchRunner{size: 5, shortAt: 1}
-	_, err := RunAll(context.Background(), 1, units, short, nil)
-	if err == nil || !strings.Contains(err.Error(), "results") {
-		t.Errorf("err = %v, want result-count mismatch", err)
-	}
-}
-
-func TestRunAllBatchProgressCountsUnits(t *testing.T) {
-	units := make([]int, 12)
-	for i := range units {
-		units[i] = i
-	}
-	var finalDone atomic.Int32
-	r := &batchRunner{size: 3}
-	// One worker keeps progress calls sequential, so the last call
-	// observed is the final one.
-	_, err := RunAll(context.Background(), 1, units, r, func(done, total int) {
-		if total != 12 {
-			t.Errorf("progress total = %d, want 12 units (not batches)", total)
-		}
-		finalDone.Store(int32(done))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finalDone.Load() != 12 {
-		t.Errorf("final progress done = %d, want 12", finalDone.Load())
-	}
-}
 
 func TestMemoKeysIndependent(t *testing.T) {
 	var m Memo[string, string]

@@ -183,44 +183,11 @@ func SweepTitle(kind string) string {
 // RunSweepConfig executes a sweep on the local worker pool.  Results
 // are identical for every worker count.
 func RunSweepConfig(cfg SweepConfig, workers int) ([]SweepPoint, error) {
-	return RunSweepRunner(cfg, workers, nil)
-}
-
-// RunSweepRunner executes a sweep on an arbitrary SweepRunner (nil
-// selects the local pool), reassembling points in value order so
-// sharded execution is byte-identical to local execution for every
-// worker and backend count.  Like the campaign path, a defective
-// fleet cannot corrupt results: a sharded run that fails or returns
-// empty points (a version-skewed backend answering well-formed JSON)
-// is recomputed locally before anything is memoized or stored.
-func RunSweepRunner(cfg SweepConfig, workers int, r SweepRunner) ([]SweepPoint, error) {
 	if DefaultSweepValues(cfg.Kind) == nil {
 		return nil, fmt.Errorf("unknown sweep kind %q (valid kinds: %s)",
 			cfg.Kind, strings.Join(SweepKinds(), ", "))
 	}
-	if r == nil {
-		return runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, LocalSweepRunner())
-	}
-	pts, err := runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, r)
-	if err == nil {
-		err = validateSweepPoints(pts)
-	}
-	if err != nil {
-		return runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, LocalSweepRunner())
-	}
-	return pts, nil
-}
-
-// validateSweepPoints rejects results a healthy executor cannot
-// produce: RunSweepUnit labels every point, so an empty label marks a
-// unit result that decoded from the wrong shape.
-func validateSweepPoints(pts []SweepPoint) error {
-	for i, p := range pts {
-		if p.Label == "" {
-			return fmt.Errorf("runner returned an empty result for sweep unit %d", i)
-		}
-	}
-	return nil
+	return runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, LocalSweepRunner())
 }
 
 // sweepMemo memoizes sweeps in-process, like core.CachedStudy does
@@ -234,20 +201,12 @@ var sweepMemo = engine.Memo[string, []SweepPoint]{MaxEntries: 16}
 // served the result.  Like the campaign cache, a store write failure
 // never fails the call — the computed points are still returned.
 func CachedSweep(s *store.Store, cfg SweepConfig, workers int) (pts []SweepPoint, hit bool, err error) {
-	return CachedSweepRunner(s, cfg, workers, nil)
-}
-
-// CachedSweepRunner is CachedSweep computing through an arbitrary
-// SweepRunner (nil selects the local pool) — the cmd tools' -backends
-// path.  Cache tiers are consulted before the runner, so a memoized
-// or stored sweep never touches a backend.
-func CachedSweepRunner(s *store.Store, cfg SweepConfig, workers int, r SweepRunner) (pts []SweepPoint, hit bool, err error) {
 	if DefaultSweepValues(cfg.Kind) == nil {
 		// Reject unknown kinds before memoizing anything.
 		_, err := RunSweepConfig(cfg, 1)
 		return nil, false, err
 	}
-	key, err := store.Key(sweepNamespace, cfg)
+	key, err := SweepKey(cfg)
 	if err != nil {
 		return nil, false, err
 	}
@@ -258,9 +217,9 @@ func CachedSweepRunner(s *store.Store, cfg SweepConfig, workers int, r SweepRunn
 			return cached
 		}
 		computed = true
-		// The kind was validated above and RunSweepRunner recomputes
-		// locally on any sharded failure, so this cannot fail.
-		out, _ := RunSweepRunner(cfg, workers, r)
+		// The kind was validated above and the local runner cannot
+		// fail on a valid kind.
+		out, _ := RunSweepConfig(cfg, workers)
 		store.PutJSON(s, key, out)
 		return out
 	})

@@ -115,8 +115,7 @@ func RunSweepUnit(u SweepUnit) (SweepPoint, error) {
 		u.Kind, strings.Join(SweepKinds(), ", "))
 }
 
-// SweepRunner executes sweep-point units: the engine's local pool, or
-// the internal/remote client sharding across fx8d backends.
+// SweepRunner executes sweep-point units on the engine's pool.
 type SweepRunner = engine.Runner[SweepUnit, SweepPoint]
 
 // LocalSweepRunner returns the in-process SweepRunner.

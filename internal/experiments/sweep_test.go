@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,34 +45,6 @@ func TestCacheSweepMissrateDecreases(t *testing.T) {
 	if pts[0].MissRate <= pts[1].MissRate {
 		t.Errorf("missrate should fall with cache size: %v vs %v",
 			pts[0].MissRate, pts[1].MissRate)
-	}
-}
-
-// defectiveSweepRunner models a version-skewed backend: every unit
-// "succeeds" with a zero-valued point (well-formed JSON of the wrong
-// shape decodes exactly like this).
-type defectiveSweepRunner struct{}
-
-func (defectiveSweepRunner) RunUnit(_ context.Context, _ SweepUnit) (SweepPoint, error) {
-	return SweepPoint{}, nil
-}
-
-// TestRunSweepRunnerRecoversFromDefectiveRunner pins the
-// defective-fleet guard: invalid sharded results are recomputed
-// locally, never returned (or cached) as-is.
-func TestRunSweepRunnerRecoversFromDefectiveRunner(t *testing.T) {
-	t.Parallel()
-	cfg := SweepConfig{Kind: "ce", Values: []int{1, 2}, Seed: 5, Samples: 1}
-	want, err := RunSweepConfig(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSweepRunner(cfg, 0, defectiveSweepRunner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("defective runner result not recomputed locally:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

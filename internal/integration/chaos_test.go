@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -177,32 +181,40 @@ func newChaosBackend(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// runNetStudy runs the unit set through a two-backend fleet whose
-// transport injects plan's network faults, with every
-// timing-sensitive client behavior pinned: hedging off (hedges fire
-// on wall clock), quarantine off (it trips on cumulative counts that
-// vary with interleaving), batching off (batch composition depends on
-// worker scheduling).  What remains is deterministic per request key.
-func runNetStudy(t *testing.T, plan *chaos.Plan, units []core.StudyUnit) (string, remote.Stats) {
+// fleetUnits runs the unit set as a memory-only sessions job on a
+// temporary coordinator over backends, the -backends path, and
+// returns the sessions JSON.
+func fleetUnits(t *testing.T, cfg coord.Config, units []core.StudyUnit, backends ...*httptest.Server) string {
 	t.Helper()
-	a, b := newChaosBackend(t), newChaosBackend(t)
-	client := remote.NewStudyClient(remote.Config{
-		Backends:    []string{a.URL, b.URL},
-		HTTPClient:  &http.Client{Transport: plan.Transport(nil)},
-		HedgeAfter:  time.Hour,
-		MaxFailures: 1 << 30,
-		BatchUnits:  1,
-		Retry:       retry.Policy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-	})
-	res, err := engine.RunAll(context.Background(), len(units), units, client, nil)
-	if err != nil {
-		t.Fatalf("campaign under %v died: %v", plan.Seed(), err)
+	addrs := make([]string, len(backends))
+	for i, b := range backends {
+		addrs[i] = b.URL
 	}
-	data, err := json.Marshal(res)
+	cfg.Registry = registryOf(addrs...)
+	res, err := coord.Run(context.Background(), cfg, coord.JobSpec{Kind: "sessions", Units: units})
+	if err != nil {
+		t.Fatalf("campaign died: %v", err)
+	}
+	data, err := json.Marshal(res.Sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data), client.Stats()
+	return string(data)
+}
+
+// runNetStudy runs the unit set through a two-backend fleet whose
+// transport injects plan's network faults.  Dispatch workers never
+// abandon a backend (abandonment trips on consecutive-failure counts
+// that vary with interleaving), so every unit is retried on the fleet
+// until it succeeds: each request key then sees a seed-determined
+// number of attempts.
+func runNetStudy(t *testing.T, plan *chaos.Plan, units []core.StudyUnit) string {
+	t.Helper()
+	return fleetUnits(t, coord.Config{
+		HTTPClient:  &http.Client{Transport: plan.Transport(nil)},
+		MaxFailures: 1 << 30,
+		Retry:       retry.Policy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	}, units, newChaosBackend(t), newChaosBackend(t))
 }
 
 // TestChaosNetworkPlans drives five network fault plans — refused
@@ -234,7 +246,7 @@ func TestChaosNetworkPlans(t *testing.T) {
 			run := func() (*chaos.Plan, string) {
 				plan := chaos.NewPlan(seed, tc.budget)
 				reportPlan(t, tc.name, plan)
-				got, _ := runNetStudy(t, plan, units)
+				got := runNetStudy(t, plan, units)
 				return plan, got
 			}
 			p1, got1 := run()
@@ -393,27 +405,61 @@ func TestChaosProcessBackendDeath(t *testing.T) {
 	reportPlan(t, "proc-backend-death", plan)
 
 	kill := plan.KillPoint("backend-0", len(units)-1)
-	dying := newKillableBackend(t, int64(kill))
-	healthy := newChaosBackend(t)
-	client := remote.NewStudyClient(remote.Config{
-		Backends:    []string{dying.URL, healthy.URL},
-		MaxFailures: 2,
-		HedgeAfter:  time.Hour,
-		BatchUnits:  1,
-	})
-	res, err := engine.RunAll(context.Background(), len(units), units, client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != baseline {
+	got := fleetUnits(t, coord.Config{MaxFailures: 2}, units,
+		newKillableBackend(t, int64(kill)), newChaosBackend(t))
+	if got != baseline {
 		t.Error("campaign with a dying backend differs from local baseline")
 	}
 	if kill2 := chaos.NewPlan(plan.Seed(), chaos.Budget{}).KillPoint("backend-0", len(units)-1); kill2 != kill {
 		t.Errorf("kill point not seed-deterministic: %d vs %d", kill, kill2)
+	}
+}
+
+// newSlowBackend boots an fx8d node behind a proxy whose transport
+// injects plan's network faults, so only this backend of a fleet is
+// degraded.
+func newSlowBackend(t *testing.T, plan *chaos.Plan) *httptest.Server {
+	t.Helper()
+	target, err := url.Parse(newChaosBackend(t).URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	proxy.Transport = plan.Transport(nil)
+	proxy.ErrorLog = log.New(io.Discard, "", 0) // canceled requests are expected
+	ts := httptest.NewServer(proxy)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestChaosSlowBackend delays every unit on one of two backends by a
+// seeded 1-400ms.  Pulling is the tail defence: the healthy backend
+// drains its own share and steals the slow one's pending units, so
+// the slow backend holds at most its PerBackend in-flight units and
+// the makespan stays within one slow unit per dispatch lane, not the
+// slow backend's whole contiguous share (4 lanes x 3 units deep).
+func TestChaosSlowBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos campaigns in -short mode")
+	}
+	checkGoroutines(t)
+	units := chaosUnits(24)
+	baseline := localUnitsJSON(t, units)
+	const maxLatency = 400 * time.Millisecond
+	plan := chaos.NewPlan(chaosSeed(t, "slow-backend", 601), chaos.Budget{Latency: 1000, MaxLatency: maxLatency})
+	reportPlan(t, "slow-backend", plan)
+
+	start := time.Now()
+	got := fleetUnits(t, coord.Config{}, units, newSlowBackend(t, plan), newChaosBackend(t))
+	makespan := time.Since(start)
+	if got != baseline {
+		t.Error("campaign with a slow backend differs from local baseline")
+	}
+	requireInjection(t, plan)
+	assertReplay(t, plan)
+	t.Logf("makespan %v with %d delayed requests", makespan, len(plan.Events()))
+	if makespan >= 2*maxLatency {
+		t.Errorf("makespan %v: the slow backend tail-blocked the campaign (bound %v)", makespan, 2*maxLatency)
 	}
 }
 

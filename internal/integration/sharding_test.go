@@ -5,25 +5,41 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cli"
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/remote"
 	"repro/internal/service"
 )
 
-// Sharded-execution acceptance tests: sweeps and campaigns executed
-// across a fleet of in-process fx8d backends must be byte-identical
-// to local execution — for every backend count, and with a backend
-// killed mid-run (its work is re-routed, never lost).
+// Fleet-execution acceptance tests: sweeps and campaigns run the way
+// the cmd tools' -backends flag runs them — a temporary coordinator
+// job over a fixed fleet of in-process fx8d backends — must be
+// byte-identical to local execution, also with a backend killed
+// mid-run (its work is stolen or drained locally, never lost).
 
 // newBackend boots one in-process fx8d node.
 func newBackend(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(service.New(service.Config{Workers: 1, MaxInFlight: 4}))
+	return newCountingBackend(t, nil)
+}
+
+// newCountingBackend boots an fx8d node that counts the unit
+// requests it serves (nil counts nothing).
+func newCountingBackend(t *testing.T, served *atomic.Int64) *httptest.Server {
+	t.Helper()
+	inner := service.New(service.Config{Workers: 1, MaxInFlight: 4})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served != nil && strings.HasPrefix(r.URL.Path, "/v1/run/") {
+			served.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -48,6 +64,21 @@ func newKillableBackend(t *testing.T, afterUnits int64) *httptest.Server {
 	return ts
 }
 
+// fleetJob runs spec as the -backends path does: a temporary,
+// memory-only coordinator job over the given fixed fleet.
+func fleetJob(t *testing.T, spec coord.JobSpec, backends ...*httptest.Server) *coord.JobResult {
+	t.Helper()
+	addrs := make([]string, len(backends))
+	for i, b := range backends {
+		addrs[i] = b.URL
+	}
+	res, err := cli.FleetJob(context.Background(), addrs, nil, 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestShardedSchedulerSweepByteIdentical(t *testing.T) {
 	t.Parallel()
 	cfg := experiments.SweepConfig{
@@ -62,25 +93,15 @@ func TestShardedSchedulerSweepByteIdentical(t *testing.T) {
 	}
 	localJSON, _ := json.Marshal(local)
 
-	a, b := newBackend(t), newBackend(t)
-	client := remote.NewSweepClient(remote.Config{Backends: []string{a.URL, b.URL}})
-	sharded, err := experiments.RunSweepRunner(cfg, 0, client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedJSON, _ := json.Marshal(sharded)
+	var servedA, servedB atomic.Int64
+	a, b := newCountingBackend(t, &servedA), newCountingBackend(t, &servedB)
+	res := fleetJob(t, coord.JobSpec{Kind: "sweep", Sweep: &cfg}, a, b)
+	shardedJSON, _ := json.Marshal(res.Points)
 	if string(shardedJSON) != string(localJSON) {
 		t.Errorf("sharded sweep differs from local:\n%s\nvs\n%s", shardedJSON, localJSON)
 	}
-	st := client.Stats()
-	if st.Fallbacks != 0 {
-		t.Errorf("fallbacks = %d, want 0 with two live backends", st.Fallbacks)
-	}
-	var total uint64
-	for _, bs := range st.Backends {
-		total += bs.Units
-	}
-	if total != uint64(len(cfg.Values)) {
+	// Two healthy backends: every point ran on the fleet, none locally.
+	if total := servedA.Load() + servedB.Load(); total != int64(len(cfg.Values)) {
 		t.Errorf("backends served %d units, want %d", total, len(cfg.Values))
 	}
 }
@@ -96,164 +117,45 @@ func TestShardedQuickCampaignByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := coord.JobSpec{Kind: "study", Study: &cfg}
 
 	// Healthy fleet: every session served remotely, reassembled
 	// byte-identically.
 	t.Run("healthy fleet", func(t *testing.T) {
 		t.Parallel()
-		a, b := newBackend(t), newBackend(t)
-		client := remote.NewStudyClient(remote.Config{Backends: []string{a.URL, b.URL}})
-		sharded, err := core.RunStudyRunner(context.Background(), cfg, 0, client, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardedJSON, err := core.EncodeStudy(sharded)
+		var servedA, servedB atomic.Int64
+		a, b := newCountingBackend(t, &servedA), newCountingBackend(t, &servedB)
+		res := fleetJob(t, spec, a, b)
+		shardedJSON, err := core.EncodeStudy(res.Study)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(shardedJSON) != string(localJSON) {
 			t.Error("sharded campaign differs from local campaign")
 		}
-		st := client.Stats()
-		if st.Fallbacks != 0 {
-			t.Errorf("fallbacks = %d, want 0 with two live backends", st.Fallbacks)
+		if servedA.Load() == 0 || servedB.Load() == 0 {
+			t.Errorf("campaign was not sharded: backends served %d and %d units",
+				servedA.Load(), servedB.Load())
 		}
-		for _, bs := range st.Backends {
-			if bs.Units == 0 {
-				t.Errorf("backend %s served no units; campaign was not sharded", bs.Addr)
-			}
+		if total := servedA.Load() + servedB.Load(); total != int64(cfg.TotalSessions()) {
+			t.Errorf("backends served %d units, want all %d", total, cfg.TotalSessions())
 		}
 	})
 
-	// One backend killed mid-run: its remaining units are re-routed
-	// to the survivor (or computed locally), and the reassembled
-	// campaign is still byte-identical.
+	// One backend killed mid-run: its remaining units are stolen by
+	// the survivor (or drained locally), and the reassembled campaign
+	// is still byte-identical.
 	t.Run("backend killed mid-run", func(t *testing.T) {
 		t.Parallel()
-		dying := newKillableBackend(t, 1)
-		healthy := newBackend(t)
-		client := remote.NewStudyClient(remote.Config{
-			Backends:    []string{dying.URL, healthy.URL},
-			MaxFailures: 2,
-		})
-		sharded, err := core.RunStudyRunner(context.Background(), cfg, 0, client, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardedJSON, err := core.EncodeStudy(sharded)
+		res := fleetJob(t, spec, newKillableBackend(t, 1), newBackend(t))
+		shardedJSON, err := core.EncodeStudy(res.Study)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(shardedJSON) != string(localJSON) {
 			t.Error("campaign with a killed backend differs from local campaign")
 		}
-		st := client.Stats()
-		var dead bool
-		var unitsServed uint64
-		for _, bs := range st.Backends {
-			unitsServed += bs.Units
-			if bs.Addr == dying.URL {
-				dead = bs.Dead
-			}
-		}
-		if !dead {
-			t.Errorf("killed backend not marked dead: %+v", st.Backends)
-		}
-		if got := unitsServed + st.Fallbacks; got < uint64(cfg.TotalSessions()) {
-			t.Errorf("accounted for %d of %d sessions; work was lost", got, cfg.TotalSessions())
-		}
 	})
-}
-
-// TestBatchedCampaignByteIdentical is the batch-path acceptance
-// proof: a campaign executed over POST /v1/run/sessions — many units
-// per request — reassembles byte-identically to local execution, and
-// the batch endpoint actually carried the work.
-func TestBatchedCampaignByteIdentical(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("multi-campaign batching proof in -short mode")
-	}
-	cfg := core.QuickScale()
-	local := core.RunStudy(cfg)
-	localJSON, err := core.EncodeStudy(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One backend, half as many workers as units: the engine cuts
-	// multi-unit batches, all carried by the batch endpoint.
-	backend := newBackend(t)
-	client := remote.NewStudyClient(remote.Config{Backends: []string{backend.URL}})
-	workers := cfg.TotalSessions() / 2
-	sharded, err := core.RunStudyRunner(context.Background(), cfg, workers, client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedJSON, err := core.EncodeStudy(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(shardedJSON) != string(localJSON) {
-		t.Error("batched campaign differs from local campaign")
-	}
-	st := client.Stats()
-	if st.Batches == 0 {
-		t.Error("campaign ran without a single batched request")
-	}
-	if st.Fallbacks != 0 {
-		t.Errorf("fallbacks = %d, want 0 with a live backend", st.Fallbacks)
-	}
-	if st.Backends[0].Units != uint64(cfg.TotalSessions()) {
-		t.Errorf("backend served %d units, want all %d", st.Backends[0].Units, cfg.TotalSessions())
-	}
-}
-
-// TestBatchedCampaignSurvivesBatchlessBackend proves version-skew
-// safety: a fleet mixing a batch-capable daemon with an older one
-// that 404s the batch path still reassembles byte-identically, and
-// the older daemon is not marked dead for the skew.
-func TestBatchedCampaignSurvivesBatchlessBackend(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("multi-campaign batching proof in -short mode")
-	}
-	cfg := core.QuickScale()
-	local := core.RunStudy(cfg)
-	localJSON, err := core.EncodeStudy(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	modern := newBackend(t)
-	// An older daemon: same unit endpoint, no batch endpoint.
-	older := service.New(service.Config{Workers: 1, MaxInFlight: 4})
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == remote.SessionBatchPath {
-			http.NotFound(w, r)
-			return
-		}
-		older.ServeHTTP(w, r)
-	}))
-	t.Cleanup(legacy.Close)
-
-	client := remote.NewStudyClient(remote.Config{Backends: []string{modern.URL, legacy.URL}})
-	sharded, err := core.RunStudyRunner(context.Background(), cfg, cfg.TotalSessions()/2, client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedJSON, err := core.EncodeStudy(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(shardedJSON) != string(localJSON) {
-		t.Error("mixed-fleet campaign differs from local campaign")
-	}
-	for _, bs := range client.Stats().Backends {
-		if bs.Dead {
-			t.Errorf("backend %s marked dead in a healthy mixed fleet", bs.Addr)
-		}
-	}
 }
 
 // TestShardedSweepSurvivesKilledBackend is the sweep-side half of the
@@ -272,17 +174,8 @@ func TestShardedSweepSurvivesKilledBackend(t *testing.T) {
 	}
 	localJSON, _ := json.Marshal(local)
 
-	dying := newKillableBackend(t, 1)
-	healthy := newBackend(t)
-	client := remote.NewSweepClient(remote.Config{
-		Backends:    []string{dying.URL, healthy.URL},
-		MaxFailures: 2,
-	})
-	sharded, err := experiments.RunSweepRunner(cfg, 0, client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedJSON, _ := json.Marshal(sharded)
+	res := fleetJob(t, coord.JobSpec{Kind: "sweep", Sweep: &cfg}, newKillableBackend(t, 1), newBackend(t))
+	shardedJSON, _ := json.Marshal(res.Points)
 	if string(shardedJSON) != string(localJSON) {
 		t.Errorf("sweep with a killed backend differs from local:\n%s\nvs\n%s", shardedJSON, localJSON)
 	}
@@ -303,14 +196,9 @@ func TestShardedMeasureSessionsMatchLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newBackend(t)
-	client := remote.NewStudyClient(remote.Config{Backends: []string{a.URL}})
-	remoteRes, err := engine.RunAll(context.Background(), 0, units, client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fleetJob(t, coord.JobSpec{Kind: "sessions", Units: units}, newBackend(t))
 	localJSON, _ := json.Marshal(localRes)
-	remoteJSON, _ := json.Marshal(remoteRes)
+	remoteJSON, _ := json.Marshal(res.Sessions)
 	if string(localJSON) != string(remoteJSON) {
 		t.Error("remote measure sessions differ from local sessions")
 	}

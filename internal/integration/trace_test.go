@@ -1,23 +1,19 @@
 package integration
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 
+	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/remote"
 	"repro/internal/service"
 )
 
-// Request-tracing acceptance test: one campaign request ID, planted at
-// the client, must be forwarded with every batch the study client
-// ships and reconstructable from each daemon's GET /v1/trace/{id} —
-// together the per-backend spans account for every unit in the
-// campaign.
+// Request-tracing acceptance tests: a fleet job sends its job ID as
+// the X-Request-Id of every unit POST, so each daemon's GET
+// /v1/trace/{job-id} holds its share of the job and together the
+// per-backend spans account for every unit.
 
 // fetchTrace reads one daemon's spans for id; found=false on 404.
 func fetchTrace(t *testing.T, baseURL, id string) (service.TraceResponse, bool) {
@@ -46,17 +42,13 @@ func TestCampaignTraceCoversAllUnitsAcrossDaemons(t *testing.T) {
 		t.Skip("quick campaign in -short mode")
 	}
 	a, b := newBackend(t), newBackend(t)
-	client := remote.NewStudyClient(remote.Config{Backends: []string{a.URL, b.URL}})
-
-	const traceID = "campaign-trace"
 	cfg := core.QuickScale()
-	ctx := obs.WithRequestID(context.Background(), traceID)
-	// Two workers over the 8 quick-scale units: RunAll caps batches at
-	// ceil(8/2)=4 units, so two concurrent batches ship and the
-	// least-loaded pick spreads them across both daemons.
-	if _, err := core.RunStudyRunner(ctx, cfg, 2, client, nil); err != nil {
+	spec := coord.JobSpec{Kind: "study", Study: &cfg}
+	traceID, err := coord.JobID(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fleetJob(t, spec, a, b)
 
 	daemonsWithSpans, unitsTraced := 0, 0
 	for i, ts := range []string{a.URL, b.URL} {
@@ -72,7 +64,7 @@ func TestCampaignTraceCoversAllUnitsAcrossDaemons(t *testing.T) {
 			t.Errorf("daemon %d: %d spans dropped from a tiny campaign", i, tr.Dropped)
 		}
 		for _, sp := range tr.Spans {
-			if sp.Name != "run_session" && sp.Name != "run_sessions" {
+			if sp.Name != "run_session" {
 				t.Errorf("daemon %d: unexpected span %q in campaign trace", i, sp.Name)
 			}
 			if sp.Outcome != "ok" {
@@ -100,31 +92,33 @@ func TestCampaignTraceCoversAllUnitsAcrossDaemons(t *testing.T) {
 	}
 }
 
-// TestTraceIsolationBetweenCampaigns pins that two campaigns with
-// distinct request IDs stay separate traces on a shared daemon.
+// TestTraceIsolationBetweenCampaigns pins that two jobs stay separate
+// traces on a shared daemon.
 func TestTraceIsolationBetweenCampaigns(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("quick campaigns in -short mode")
 	}
 	ts := newBackend(t)
-	client := remote.NewStudyClient(remote.Config{Backends: []string{ts.URL}})
-	cfg := core.QuickScale()
 	for run := 0; run < 2; run++ {
-		id := fmt.Sprintf("campaign-%d", run)
-		if _, err := core.RunStudyRunner(obs.WithRequestID(context.Background(), id), cfg, 1, client, nil); err != nil {
+		cfg := core.QuickScale()
+		cfg.BaseSeed += uint64(run) // a distinct spec is a distinct job
+		spec := coord.JobSpec{Kind: "study", Study: &cfg}
+		id, err := coord.JobID(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		fleetJob(t, spec, ts)
 		tr, found := fetchTrace(t, ts.URL, id)
 		if !found {
-			t.Fatalf("campaign %d left no trace", run)
+			t.Fatalf("job %d left no trace", run)
 		}
 		units := 0
 		for _, sp := range tr.Spans {
 			units += len(sp.Units)
 		}
 		if want := cfg.TotalSessions(); units != want {
-			t.Errorf("campaign %d trace covers %d units, want %d", run, units, want)
+			t.Errorf("job %d trace covers %d units, want %d", run, units, want)
 		}
 	}
 }

@@ -35,14 +35,15 @@
 //     and internal/perf import no repro packages; the simulator stack
 //     (fx8, concentrix, monitor, workload, fxasm) never depends on
 //     service/remote/store/engine/obs; core and experiments never
-//     depend on service/remote.  Checked transitively, and a
+//     depend on service/remote; remote, the unit transport, imports
+//     only obs and retry.  Checked transitively, and a
 //     violation names the first offending edge and the shortest
 //     chain.  Replaces the CI grep that guarded only internal/obs.
 //
 //   - truncation: int(x) and int32(x) conversions of int64, uint64,
 //     uint or uintptr values — the class that overflowed
-//     StudyConfig.triggeredSpec and remote.Client.pick once each on
-//     GOARCH=386, where int is 32 bits.  Conversions of constants
+//     StudyConfig.triggeredSpec and a since-deleted round-robin
+//     backend pick once each on GOARCH=386, where int is 32 bits.  Conversions of constants
 //     that fit and of operands reduced at the conversion site
 //     (x % n, x & mask in the wide type) pass; conversions bounded
 //     for non-local reasons annotate //fxlint:allow truncation with

@@ -18,18 +18,28 @@ type LayerRule struct {
 	// a prefix when it ends in "/".
 	Deny []string
 
+	// Allow exempts paths from Deny, matched the same way, so a rule
+	// can deny a whole prefix and list the few packages it permits.
+	Allow []string
+
 	// Why names the invariant the rule encodes, quoted in the
 	// diagnostic so a failure explains itself.
 	Why string
 }
 
 func (r *LayerRule) denies(dep string) bool {
-	for _, d := range r.Deny {
-		if strings.HasSuffix(d, "/") {
-			if strings.HasPrefix(dep, d) {
+	return matchesAny(r.Deny, dep) && !matchesAny(r.Allow, dep)
+}
+
+// matchesAny reports whether dep is one of paths, or lies under one
+// that ends in "/".
+func matchesAny(paths []string, dep string) bool {
+	for _, p := range paths {
+		if strings.HasSuffix(p, "/") {
+			if strings.HasPrefix(dep, p) {
 				return true
 			}
-		} else if dep == d {
+		} else if dep == p {
 			return true
 		}
 	}
@@ -97,6 +107,12 @@ var LayerRules = []*LayerRule{
 			"repro/internal/workload",
 		},
 		Why: "retry is the one backoff policy remote and coord share; it must stay a near-leaf (fastrand + obs only) or the DAG cycles",
+	},
+	{
+		Pkgs:  []string{"repro/internal/remote"},
+		Deny:  []string{"repro/"},
+		Allow: []string{"repro/internal/obs", "repro/internal/retry", "repro/internal/fastrand"},
+		Why:   "remote is only the unit transport; scheduling belongs to coord, so remote needs nothing above obs and retry (and retry's fastrand) and importing core or experiments would invite a second dispatcher",
 	},
 	{
 		Pkgs: []string{"repro/internal/chaos"},

@@ -9,7 +9,8 @@ import (
 
 // TruncationAnalyzer flags int(x) / int32(x) conversions of wider
 // integer values — the exact class that overflowed triggeredSpec and
-// remote.pick on GOARCH=386, where int is 32 bits.  A conversion is
+// a since-deleted round-robin backend pick on GOARCH=386, where int is
+// 32 bits.  A conversion is
 // accepted when the operand is provably reduced first: a constant
 // that fits, or a top-level % / & / &^ whose result the conversion
 // cannot truncate further in the idiomatic counter-reduction pattern

@@ -11,8 +11,8 @@ import (
 
 // RequestIDHeader is the HTTP header carrying a request's trace ID.
 // fx8d assigns one when a request arrives without it and echoes it on
-// the response; the remote client forwards it on every unit and batch
-// POST, so a sharded campaign's work is attributable end to end.
+// the response; the coordinator sends its job ID on every unit POST,
+// so a fleet job's work is attributable end to end.
 const RequestIDHeader = "X-Request-Id"
 
 // NewRequestID returns a fresh 16-hex-character request ID.  IDs need

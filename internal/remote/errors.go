@@ -1,17 +1,8 @@
 package remote
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // ErrorResponse is the service's unified error envelope: every
@@ -80,61 +71,4 @@ func errorBody(body []byte) string {
 		msg = msg[:200]
 	}
 	return msg
-}
-
-// PostUnit executes one unit on one backend endpoint in a single
-// attempt: the unit is POSTed as JSON to url and the 200 response
-// body decoded as R.  No rerouting, hedging or fallback happens here
-// — this is the one-shot primitive for callers that do their own
-// scheduling, like the coordinator's dispatch loop, which reroutes a
-// failed unit by releasing its lease back to the ledger.  The
-// driving context's request ID (obs.WithRequestID) is forwarded, a
-// non-200 response surfaces the error envelope's code in the error
-// string, and timeout <= 0 means DefaultUnitTimeout.
-func PostUnit[U, R any](ctx context.Context, httpc *http.Client, url string, unit U, timeout time.Duration) (R, error) {
-	var zero R
-	payload, err := json.Marshal(unit)
-	if err != nil {
-		return zero, fmt.Errorf("remote: encoding unit: %w", err)
-	}
-	if timeout <= 0 {
-		timeout = DefaultUnitTimeout
-	}
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return zero, fmt.Errorf("remote: %s: %w", url, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return zero, fmt.Errorf("remote: %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return zero, fmt.Errorf("remote: %s: reading response: %w", url, err)
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// A shed: surface the advertised Retry-After as a hint so the
-		// caller's retry policy waits the server's interval instead of
-		// re-entering the queue it was just shed from.
-		err := fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(body))
-		return zero, retry.WithAfter(err, parseRetryAfter(resp.Header.Get("Retry-After")))
-	}
-	if resp.StatusCode != http.StatusOK {
-		return zero, fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(body))
-	}
-	var out R
-	if err := json.Unmarshal(body, &out); err != nil {
-		return zero, fmt.Errorf("remote: %s: decoding result: %w", url, err)
-	}
-	return out, nil
 }

@@ -2,111 +2,30 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/retry"
 )
 
-// sheddingBackend answers 429 + Retry-After: 1 to every request —
-// fx8d's admission-control shed — counting the hits.
-func sheddingBackend(t *testing.T, hits *atomic.Int64) *httptest.Server {
-	t.Helper()
+// A 429 surfaces the backend's Retry-After as the error's retry
+// hint, so the caller's policy waits the advertised interval.
+func TestPostUnitShedCarriesRetryAfter(t *testing.T) {
+	t.Parallel()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", "3")
 		http.Error(w, `{"code":"shed","message":"server at capacity"}`, http.StatusTooManyRequests)
 	}))
 	t.Cleanup(srv.Close)
-	return srv
-}
-
-// The regression this pins: a shedding backend advertises Retry-After
-// and must stop receiving units for that window, instead of being
-// rerouted into the very queue it just shed from (and instead of
-// being quarantined as dead — shedding is overload, not sickness).
-func TestShedBackendStopsReceivingUnitsForRetryAfterWindow(t *testing.T) {
-	t.Parallel()
-	var shedHits, servedGood atomic.Int64
-	shed := sheddingBackend(t, &shedHits)
-	good := echoBackend(t, &servedGood)
-
-	c := NewClient(Config{Backends: []string{shed.URL, good.URL}}, echoLocal)
-	for i := 0; i < 12; i++ {
-		res, err := c.RunUnit(context.Background(), echoUnit{X: i})
-		if err != nil {
-			t.Fatalf("unit %d: %v", i, err)
-		}
-		if res.Y != i*2 {
-			t.Fatalf("unit %d: result %+v", i, res)
-		}
+	_, err := PostUnit[echoUnit, echoResult](context.Background(), nil, srv.URL, echoUnit{X: 1}, 0)
+	if err == nil || !strings.Contains(err.Error(), CodeShed) {
+		t.Fatalf("shed not surfaced: %v", err)
 	}
-
-	// Twelve sequential units well inside the 1s window: the shedding
-	// backend is hit once (the request that learned of the shed) and
-	// then left alone; every unit still succeeds via the healthy one.
-	if n := shedHits.Load(); n != 1 {
-		t.Errorf("shedding backend received %d requests inside the Retry-After window, want 1", n)
-	}
-	if n := servedGood.Load(); n != 12 {
-		t.Errorf("healthy backend served %d units, want 12", n)
-	}
-	st := c.Stats()
-	if st.Fallbacks != 0 {
-		t.Errorf("fallbacks = %d, want 0", st.Fallbacks)
-	}
-	for _, b := range st.Backends {
-		if b.Addr == shed.URL && b.Dead {
-			t.Error("shedding backend was quarantined as dead; a shed is not a failure")
-		}
-	}
-}
-
-// A fleet that is entirely shedding is servable, just not yet: the
-// client must wait out the advertised window under its retry policy
-// and run the unit remotely, not silently fall back to local compute.
-func TestClientWaitsOutShedWhenEveryBackendIsShedding(t *testing.T) {
-	t.Parallel()
-	var served atomic.Int64
-	shedFirst := true
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if shedFirst {
-			shedFirst = false
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, `{"code":"shed","message":"server at capacity"}`, http.StatusTooManyRequests)
-			return
-		}
-		served.Add(1)
-		var u echoUnit
-		json.NewDecoder(r.Body).Decode(&u)
-		res, _ := echoLocal(u)
-		json.NewEncoder(w).Encode(res)
-	}))
-	t.Cleanup(srv.Close)
-
-	c := NewClient(Config{Backends: []string{srv.URL}}, echoLocal)
-	start := time.Now()
-	res, err := c.RunUnit(context.Background(), echoUnit{X: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Y != 42 {
-		t.Fatalf("result = %+v", res)
-	}
-	if served.Load() != 1 {
-		t.Fatalf("backend served %d units after recovery, want 1", served.Load())
-	}
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Errorf("unit completed in %v, want >= ~1s (the advertised Retry-After)", elapsed)
-	}
-	st := c.Stats()
-	if st.Fallbacks != 0 {
-		t.Errorf("fallbacks = %d, want 0 — the unit was servable after the window", st.Fallbacks)
-	}
-	if st.Retry.Retries == 0 || st.Retry.BackoffWaits == 0 {
-		t.Errorf("retry outcomes not booked: %+v", st.Retry)
+	if hint, ok := retry.AfterHint(err); !ok || hint != 3*time.Second {
+		t.Errorf("retry hint = %v, %v; want 3s, true", hint, ok)
 	}
 }
 

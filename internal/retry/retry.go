@@ -13,8 +13,8 @@
 // The policy understands three stop conditions — the attempt cap, the
 // elapsed-time budget, and context cancellation — plus two error
 // refinements: an error wrapped with Permanent is never retried, and
-// an error carrying a Retry-After hint (WithAfter, which the remote
-// client attaches when a backend sheds with 429 + Retry-After)
+// an error carrying a Retry-After hint (WithAfter, which
+// remote.PostUnit attaches when a backend sheds with 429 + Retry-After)
 // replaces the computed backoff with the server's advertised
 // interval.  Every outcome is booked through optional obs counters
 // (Metrics), which the fx8d service surfaces in /v1/metrics.
@@ -142,6 +142,10 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
+// Attempts returns the attempt cap with defaults resolved, for
+// callers that drive their own attempt loop with Wait.
+func (p Policy) Attempts() int { return p.withDefaults().MaxAttempts }
+
 // Delay returns the backoff before attempt+1 given `attempt` failures
 // so far (attempt >= 1): capped exponential with deterministic jitter
 // in [delay/2, delay].  Pure — equal (Policy, attempt) pairs always
@@ -172,8 +176,8 @@ func (p Policy) Delay(attempt int) time.Duration {
 // (attempt >= 1 failures so far).  hint > 0 — a server's Retry-After
 // — replaces the computed delay; either way the wait is capped at
 // MaxDelay and aborted by ctx.  Callers that drive their own attempt
-// loop (the remote client's reroute rounds, the coordinator's
-// dispatch workers) use Wait directly; Do wraps the whole loop.
+// loop (the coordinator's dispatch workers) use Wait directly; Do
+// wraps the whole loop.
 func (p Policy) Wait(ctx context.Context, attempt int, hint time.Duration) error {
 	pd := p.withDefaults()
 	d := pd.Delay(attempt)
@@ -274,8 +278,8 @@ func (e *afterError) Error() string { return e.err.Error() }
 func (e *afterError) Unwrap() error { return e.err }
 
 // WithAfter attaches a Retry-After hint to err: the next backoff
-// waits the advertised interval instead of the computed one.  The
-// remote client attaches this when a backend sheds with 429.  A nil
+// waits the advertised interval instead of the computed one.
+// remote.PostUnit attaches this when a backend sheds with 429.  A nil
 // err stays nil.
 func WithAfter(err error, after time.Duration) error {
 	if err == nil {

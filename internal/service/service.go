@@ -38,12 +38,12 @@
 // unified error envelope — remote.ErrorResponse: a machine-readable
 // code, the message, and the request ID for trace correlation.
 //
-// The /v1/run endpoints are the serving side of sharded execution
-// (internal/remote): each request carries JSON work units, runs
-// behind the same admission semaphore as the other expensive
-// endpoints, and is cached per unit in the campaign store, so a
-// re-routed or hedged unit that was already computed here is served
-// from disk.  The batch endpoint carries many units per POST —
+// The /v1/run endpoints are the serving side of fleet execution
+// (internal/coord dispatching through internal/remote): each request
+// carries JSON work units, runs behind the same admission semaphore
+// as the other expensive endpoints, and is cached per unit in the
+// campaign store, so a re-routed unit that was already computed here
+// is served from disk.  The batch endpoint carries many units per POST —
 // amortizing the per-unit HTTP round trip — and computes each unit
 // through the same per-unit cache namespace as the single-unit
 // endpoint, so batched and unbatched results are byte-identical.
@@ -78,11 +78,11 @@
 // and the store.  Every request also carries an X-Request-Id —
 // assigned here if the client sent none, echoed on the response —
 // and a request arriving with a caller-supplied ID records one span
-// under it; GET /v1/trace/{id} returns the spans, which for a
-// sharded campaign (whose remote client forwards the ID on every
-// unit POST) reconstructs which units ran on this daemon and how
-// long each took.  Tracing is opt-in by supplying the ID, so
-// uncorrelated traffic never evicts a campaign's trace.
+// under it; GET /v1/trace/{id} returns the spans, which for a fleet
+// job (whose coordinator sends the job ID on every unit POST)
+// reconstructs which units ran on this daemon and how long each
+// took.  Tracing is opt-in by supplying the ID, so uncorrelated
+// traffic never evicts a campaign's trace.
 package service
 
 import (
@@ -334,8 +334,8 @@ func spanUnitsFrom(ctx context.Context) *spanUnits {
 // to an unbounded queue.
 //
 // Every request gets a request ID — the inbound X-Request-Id if the
-// client sent one (the remote client forwards its campaign's ID on
-// every unit POST), a fresh one otherwise — echoed on the response.
+// client sent one (the coordinator sends its job ID on every unit
+// POST), a fresh one otherwise — echoed on the response.
 // Spans are recorded only under caller-supplied IDs: tracing is the
 // caller's opt-in, so uncorrelated traffic (dashboards, load tests)
 // costs nothing on the hot path and cannot evict a campaign's trace
@@ -807,8 +807,8 @@ func decodeUnit(w http.ResponseWriter, r *http.Request, unit any) error {
 
 // Unit results flow through store.GetOrComputeJSON: a unit already
 // computed here (or by a peer sharing the store directory) is served
-// from disk, and computed results are written back — a re-routed or
-// hedged duplicate never recomputes.
+// from disk, and computed results are written back — a re-routed
+// duplicate never recomputes.
 
 func (s *Server) handleRunSession(w http.ResponseWriter, r *http.Request) error {
 	var unit core.StudyUnit
@@ -838,7 +838,7 @@ const maxBatchBody = 8 << 20
 // amortizing the per-unit HTTP round trip.  Each unit flows through
 // the same sessionUnitNamespace cache as the single-unit endpoint, so
 // a batched result is byte-identical to its unbatched equivalent and
-// duplicates (re-routes, hedges, unbatched retries) never recompute.
+// duplicates (re-routes, unbatched retries) never recompute.
 func (s *Server) handleRunSessionBatch(w http.ResponseWriter, r *http.Request) error {
 	var units []core.StudyUnit
 	body := http.MaxBytesReader(w, r.Body, maxBatchBody)

@@ -373,9 +373,9 @@ func post(t *testing.T, srv *Server, path, body string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// TestRunSessionEndpoint exercises the serving side of sharded
+// TestRunSessionEndpoint exercises the serving side of fleet
 // execution: one session unit in, the completed session out, with the
-// unit result cached in the store for re-routed or hedged duplicates.
+// unit result cached in the store for re-routed duplicates.
 func TestRunSessionEndpoint(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(t, t.TempDir())
