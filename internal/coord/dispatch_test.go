@@ -211,6 +211,37 @@ func TestDispatchDrainsLocallyWhenAllBackendsDead(t *testing.T) {
 	}
 }
 
+// TestDispatchNoBackendsComputesLocally: a job over an empty fleet
+// computes every unit in-process, byte-identical to local, without a
+// single dispatch attempt.
+func TestDispatchNoBackendsComputesLocally(t *testing.T) {
+	t.Parallel()
+	units := sessionUnits(4)
+	c := coord.New(coord.Config{Registry: coord.NewRegistry()})
+	defer c.Close()
+	st, _, err := c.Submit(coord.JobSpec{Kind: "sessions", Units: units})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := await(t, c, st.ID); final.State != coord.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	res, err := c.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(res.Sessions)
+	if !bytes.Equal(got, sessionsJSON(t, units)) {
+		t.Error("locally computed sessions differ from local sessions")
+	}
+	if n := c.Stats().UnitsComputed; n != uint64(len(units)) {
+		t.Errorf("units computed = %d, want %d", n, len(units))
+	}
+	if rs := c.RetryStats(); rs.Attempts != 0 || rs.GiveUps != 0 {
+		t.Errorf("retry stats = %+v, want no dispatch attempts", rs)
+	}
+}
+
 // TestJobSnapshotsMembershipAtStart: each job reads the registry when
 // it starts, so a backend that joins between jobs serves the next one.
 func TestJobSnapshotsMembershipAtStart(t *testing.T) {
