@@ -15,9 +15,9 @@ const paperStudySHA256 = "f48b628e400cd4ac191c0c7272a71c253ed963757419919977e3ee
 
 // TestPaperScaleHeadline is the calibration regression test: it runs
 // the full deterministic paper-scale campaign, pins its encoding to
-// paperStudySHA256, and pins the headline results to bands around the
-// paper's values (Cw 0.35, Pc 7.66, c_8|c 0.93, and the chapter 5
-// model fits).  Any change to the simulator, OS, workload generator
+// paperStudySHA256 (also after a DecodeStudy round trip), and pins
+// the headline results to bands around the paper's values (Cw 0.35,
+// Pc 7.66, c_8|c 0.93, and the chapter 5 model fits).  Any change to the simulator, OS, workload generator
 // or methodology that moves the reproduction away from the paper
 // fails here.
 //
@@ -34,6 +34,23 @@ func TestPaperScaleHeadline(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != paperStudySHA256 {
 		t.Errorf("paper study sha256 = %s, want %s", got, paperStudySHA256)
+	}
+
+	// Reloaded from its encoding, the campaign is the same study and
+	// renders the same report.
+	dec, err := core.DecodeStudy(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := core.EncodeStudy(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(again)); got != paperStudySHA256 {
+		t.Errorf("decoded paper study sha256 = %s, want %s", got, paperStudySHA256)
+	}
+	if FullReport(dec) != FullReport(st) {
+		t.Error("the decoded paper study renders a different report")
 	}
 
 	m := st.OverallMeasures

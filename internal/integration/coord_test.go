@@ -3,9 +3,12 @@ package integration
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -270,5 +273,71 @@ func TestStudyJobResultOverWireMatchesFingerprint(t *testing.T) {
 	// study.
 	if _, got = serve("stored"); got.UnitsReplayed != 0 || got.UnitsComputed != 0 {
 		t.Errorf("third coordinator replayed %d and computed %d units, want the stored study", got.UnitsReplayed, got.UnitsComputed)
+	}
+}
+
+// fingerprintsPath is the byte-oracle table internal/experiments
+// keeps; this package owns its "job/" entries.
+const fingerprintsPath = "../experiments/testdata/fingerprints.json"
+
+var update = flag.Bool("update", false, "rewrite the job/ entries of "+fingerprintsPath+" from the current code")
+
+// TestSessionsJobResultMatchesFingerprint pins a sessions job's result
+// as fetched through GET /v1/jobs/{id}/result: one random, one all-8
+// and one transition session of the quick campaign, so the triggered
+// sessions' buffers cross the wire and decode in the unit results.
+func TestSessionsJobResultMatchesFingerprint(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("quick-scale sessions job in -short mode")
+	}
+	cfg := core.QuickScale()
+	all := cfg.Units()
+	units := []core.StudyUnit{all[0], all[cfg.RandomSessions], all[cfg.RandomSessions+cfg.HighConcSessions]}
+	c := coord.New(coord.Config{})
+	defer c.Close()
+	ts := httptest.NewServer(service.New(service.Config{Coordinator: c}))
+	defer ts.Close()
+	ctx := context.Background()
+	st, err := coord.SubmitJob(ctx, nil, ts.URL, coord.JobSpec{Kind: "sessions", Units: units})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := coord.AwaitJob(ctx, nil, ts.URL, st.ID, 10*time.Millisecond)
+	if err != nil || final.State != coord.StateDone {
+		t.Fatalf("job ended %s (%s): %v", final.State, final.Error, err)
+	}
+	res, err := coord.FetchResult(ctx, nil, ts.URL, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res.Sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "job/sessions"
+	got := fmt.Sprintf("%x", sha256.Sum256(data))
+
+	table := map[string]string{}
+	raw, err := os.ReadFile(fingerprintsPath)
+	if err == nil {
+		err = json.Unmarshal(raw, &table)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		table[name] = got
+		out, err := json.MarshalIndent(table, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fingerprintsPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got != table[name] {
+		t.Errorf("%s: sha256 %q, table has %q (regenerate with -update)", name, got, table[name])
 	}
 }

@@ -24,6 +24,7 @@ func FuzzBufferDecode(f *testing.F) {
 		" \t\n\r[ 1 ,\n2\t,\r3 ] \n",
 		"[]", "[ ]", "null", " null ", "nul", "nullx",
 		"[null]", "[1,null]",
+		"[12345678,123456789012,1234567:9,123456789012/4]",
 		"[18446744073709551615]", "[18446744073709551616]", "[99999999999999999999]",
 		"[-1]", "[-0]", "[1.0]", "[1e3]", "[1E3]", "[+1]", "[01]", "[0]", "[00]",
 		`["1"]`, "[true]", "[[1]]", "[{}]",
