@@ -24,8 +24,8 @@ const (
 	arrivalSteady = "steady" // Poisson arrivals at a constant rate
 	arrivalBursty = "bursty" // Poisson arrivals under an on/off envelope
 
-	mixArtefacts = "artefacts" // GET study/tables/figures/sweep
-	mixUnits     = "units"     // POST run/session and run/sessions
+	mixArtefacts = "artefacts" // GET study/artefacts/sweep
+	mixUnits     = "units"     // POST run/session
 	mixMixed     = "mixed"     // both, evenly
 )
 
@@ -176,17 +176,16 @@ type reqGen struct {
 	rng   fastrand.PCG
 	mix   string
 	units [][]byte // pre-marshaled single-unit payloads
-	batch [][]byte // pre-marshaled 4-unit batch payloads
 }
 
 // artefactPaths are the conditional-request endpoints a steady reader
 // would poll, plus a sweep (deliberately ETag-less).
 var artefactPaths = []string{
 	"/v1/study?scale=quick",
-	"/v1/tables/1",
-	"/v1/tables/2",
-	"/v1/figures/3",
-	"/v1/figures/7",
+	"/v1/artefacts/table/1",
+	"/v1/artefacts/table/2",
+	"/v1/artefacts/figure/3",
+	"/v1/artefacts/figure/7",
 	"/v1/sweep?param=ce&samples=2&seed=17",
 }
 
@@ -197,20 +196,14 @@ const loadUnitCount = 16
 
 func newReqGen(seed uint64, mix string) *reqGen {
 	g := &reqGen{rng: fastrand.New(seed, 0x4e47), mix: mix}
-	units := make([]core.StudyUnit, loadUnitCount)
-	for i := range units {
+	for i := range loadUnitCount {
 		spec := core.SessionSpec{
 			Samples:  1,
 			Sampling: monitor.SampleSpec{Snapshots: 1, GapCycles: 2_000},
 			Seed:     uint64(100 + i),
 		}
-		units[i] = core.StudyUnit{ID: i + 1, Random: &spec}
-		payload, _ := json.Marshal(units[i])
+		payload, _ := json.Marshal(core.StudyUnit{ID: i + 1, Random: &spec})
 		g.units = append(g.units, payload)
-	}
-	for lo := 0; lo+4 <= len(units); lo += 4 {
-		payload, _ := json.Marshal(units[lo : lo+4])
-		g.batch = append(g.batch, payload)
 	}
 	return g
 }
@@ -228,10 +221,6 @@ func (g *reqGen) next() request {
 	if mix == mixArtefacts {
 		return request{method: http.MethodGet, path: artefactPaths[g.rng.IntN(len(artefactPaths))]}
 	}
-	// Unit mix: two single-unit POSTs for every batched POST.
-	if g.rng.IntN(3) == 0 {
-		return request{method: http.MethodPost, path: "/v1/run/sessions", body: g.batch[g.rng.IntN(len(g.batch))]}
-	}
 	return request{method: http.MethodPost, path: "/v1/run/session", body: g.units[g.rng.IntN(len(g.units))]}
 }
 
@@ -247,9 +236,6 @@ func (g *reqGen) primeTargets() []request {
 	if g.mix == mixUnits || g.mix == mixMixed {
 		for _, b := range g.units {
 			out = append(out, request{method: http.MethodPost, path: "/v1/run/session", body: b})
-		}
-		for _, b := range g.batch {
-			out = append(out, request{method: http.MethodPost, path: "/v1/run/sessions", body: b})
 		}
 	}
 	return out

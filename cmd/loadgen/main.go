@@ -1,7 +1,7 @@
 // Command loadgen is the fx8d load harness: an open-loop traffic
 // generator that drives a daemon with the request mixes real clients
-// produce — artefact reads revalidating with ETags, sharded unit and
-// batched-unit POSTs — under steady or bursty Poisson arrivals, and
+// produce — artefact reads revalidating with ETags and sharded unit
+// POSTs — under steady or bursty Poisson arrivals, and
 // reports the resulting latency distribution, throughput, error and
 // shed rates.
 //

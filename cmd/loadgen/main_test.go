@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,6 +87,19 @@ func TestPercentiles(t *testing.T) {
 
 func TestRunLoadUnitsMix(t *testing.T) {
 	t.Parallel()
+	// The unit mix posts one session unit per request, in the warmup
+	// pass and in the measured schedule alike.
+	g := newReqGen(11, mixUnits)
+	reqs := g.primeTargets()
+	for range 200 {
+		reqs = append(reqs, g.next())
+	}
+	for _, r := range reqs {
+		if r.method != http.MethodPost || r.path != "/v1/run/session" {
+			t.Fatalf("unit mix request %s %s, want POST /v1/run/session", r.method, r.path)
+		}
+	}
+
 	// A store-backed cache so unit results are cacheable — the
 	// server-side hit-rate column needs a disk tier to count against.
 	cache := core.NewStudyCache()

@@ -56,8 +56,8 @@
 // The fx8d daemon (cmd/fx8d, internal/service) serves the campaign's
 // artefacts over HTTP: the study summary, every table and figure, and
 // the parameter sweeps as addressable JSON resources, plus per-unit
-// and batched unit-execution endpoints for fleet jobs, an SSE progress
-// stream for in-flight campaigns, per-endpoint latency and cache
+// execution endpoints for fleet jobs, campaign jobs whose SSE event
+// stream reports their progress, per-endpoint latency and cache
 // hit-rate counters, bounded request admission with a bounded wait
 // queue (excess load shed as 429 + Retry-After), strong ETags with
 // If-None-Match revalidation on artefact endpoints, and graceful

@@ -92,12 +92,6 @@ const DefaultMemoEntries = 8
 // and, on a miss, runs the campaign; the rest block and share its
 // result.  The zero value is ready to use as a memory-only cache.
 type StudyCache struct {
-	// OnProgress, when set, observes session completion for every
-	// campaign this cache computes: OnProgress(cfg, done, total)
-	// fires from worker goroutines as sessions finish.  Set before
-	// first use.
-	OnProgress func(cfg StudyConfig, done, total int)
-
 	memo    engine.Memo[StudyConfig, *Study]
 	store   atomic.Pointer[store.Store]
 	gets    atomic.Uint64
@@ -148,8 +142,8 @@ func (c *StudyCache) Stats() CacheStats {
 }
 
 // Get returns the campaign for cfg through the tiers: the in-process
-// memo, then the store, then RunStudyProgress with the given worker
-// count.  Computed campaigns are written back to the store
+// memo, then the store, then a local campaign run with the given
+// worker count.  Computed campaigns are written back to the store
 // atomically; store defects (corrupt or version-mismatched entries)
 // read as misses and are recomputed, and write failures are counted
 // in Stats but never fail the Get — the computed Study is always
@@ -162,14 +156,7 @@ func (c *StudyCache) Get(cfg StudyConfig, workers int) *Study {
 			return st
 		}
 		c.compute.Add(1)
-		var progress func(done, total int)
-		if c.OnProgress != nil {
-			progress = func(done, total int) { c.OnProgress(cfg, done, total) }
-			// Announce the campaign before any session completes, so
-			// observers see it running rather than idle.
-			progress(0, cfg.TotalSessions())
-		}
-		st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), progress)
+		st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), nil)
 		if err != nil {
 			// Unreachable: the local runner executes units produced
 			// by cfg.Units(), every one of which carries a spec.
@@ -178,13 +165,6 @@ func (c *StudyCache) Get(cfg StudyConfig, workers int) *Study {
 		c.save(cfg, st)
 		return st
 	})
-}
-
-// Cached reports whether cfg's campaign is already resident in the
-// in-process memo (not merely on disk).
-func (c *StudyCache) Cached(cfg StudyConfig) bool {
-	_, ok := c.memo.Peek(cfg)
-	return ok
 }
 
 // Purge drops the in-process memo and, when a store is attached,

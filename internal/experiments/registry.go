@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -147,7 +148,11 @@ func SweepKey(cfg SweepConfig) (string, error) {
 
 // Units expands the sweep into its work units, in output order.
 func (cfg SweepConfig) Units() []SweepUnit {
-	return sweepUnits(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples)
+	units := make([]SweepUnit, len(cfg.Values))
+	for i, v := range cfg.Values {
+		units[i] = SweepUnit{Kind: cfg.Kind, Value: v, Seed: cfg.Seed, Samples: cfg.Samples}
+	}
+	return units
 }
 
 // SweepKinds lists the valid sweep kinds.
@@ -187,7 +192,7 @@ func RunSweepConfig(cfg SweepConfig, workers int) ([]SweepPoint, error) {
 		return nil, fmt.Errorf("unknown sweep kind %q (valid kinds: %s)",
 			cfg.Kind, strings.Join(SweepKinds(), ", "))
 	}
-	return runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, LocalSweepRunner())
+	return engine.RunAll(context.Background(), workers, cfg.Units(), LocalSweepRunner(), nil)
 }
 
 // sweepMemo memoizes sweeps in-process, like core.CachedStudy does

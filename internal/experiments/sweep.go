@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -121,67 +120,6 @@ type SweepRunner = engine.Runner[SweepUnit, SweepPoint]
 // LocalSweepRunner returns the in-process SweepRunner.
 func LocalSweepRunner() SweepRunner {
 	return engine.Local[SweepUnit, SweepPoint]{Fn: RunSweepUnit}
-}
-
-// sweepUnits expands (kind, values, seed, samples) into work units in
-// output order.
-func sweepUnits(kind string, values []int, seed uint64, samples int) []SweepUnit {
-	units := make([]SweepUnit, len(values))
-	for i, v := range values {
-		units[i] = SweepUnit{Kind: kind, Value: v, Seed: seed, Samples: samples}
-	}
-	return units
-}
-
-// runSweepKind executes a sweep's units on an arbitrary runner,
-// reassembled in value order.
-func runSweepKind(kind string, values []int, seed uint64, samples, workers int, r SweepRunner) ([]SweepPoint, error) {
-	return engine.RunAll(context.Background(), workers, sweepUnits(kind, values, seed, samples), r, nil)
-}
-
-// mustSweep unwraps runSweepKind for the fixed-kind wrappers below,
-// whose kind is valid by construction and whose runner is local (and
-// therefore cannot fail).
-func mustSweep(pts []SweepPoint, err error) []SweepPoint {
-	if err != nil {
-		panic(err)
-	}
-	return pts
-}
-
-// SchedulerSweep measures the workload at several scheduling quanta,
-// one worker per CPU.
-func SchedulerSweep(quanta []int, seed uint64, samples int) []SweepPoint {
-	return SchedulerSweepWorkers(quanta, seed, samples, 0)
-}
-
-// SchedulerSweepWorkers is SchedulerSweep on a bounded worker pool;
-// every sweep point is an independent machine, so points fan out over
-// the engine and come back in quanta order regardless of worker count.
-func SchedulerSweepWorkers(quanta []int, seed uint64, samples, workers int) []SweepPoint {
-	return mustSweep(runSweepKind("sched", quanta, seed, samples, workers, LocalSweepRunner()))
-}
-
-// CacheSweep measures the workload at several shared cache sizes, one
-// worker per CPU.
-func CacheSweep(sizes []int, seed uint64, samples int) []SweepPoint {
-	return CacheSweepWorkers(sizes, seed, samples, 0)
-}
-
-// CacheSweepWorkers is CacheSweep on a bounded worker pool.
-func CacheSweepWorkers(sizes []int, seed uint64, samples, workers int) []SweepPoint {
-	return mustSweep(runSweepKind("cache", sizes, seed, samples, workers, LocalSweepRunner()))
-}
-
-// CESweep measures the workload on FX/1-FX/8-style configurations, one
-// worker per CPU.
-func CESweep(counts []int, seed uint64, samples int) []SweepPoint {
-	return CESweepWorkers(counts, seed, samples, 0)
-}
-
-// CESweepWorkers is CESweep on a bounded worker pool.
-func CESweepWorkers(counts []int, seed uint64, samples, workers int) []SweepPoint {
-	return mustSweep(runSweepKind("ce", counts, seed, samples, workers, LocalSweepRunner()))
 }
 
 // SweepTable renders sweep points.

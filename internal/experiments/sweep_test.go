@@ -7,7 +7,10 @@ import (
 
 func TestSchedulerSweep(t *testing.T) {
 	t.Parallel()
-	pts := SchedulerSweep([]int{20_000, 200_000}, 5, 4)
+	pts, err := RunSweepConfig(SweepConfig{Kind: "sched", Values: []int{20_000, 200_000}, Seed: 5, Samples: 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -23,7 +26,10 @@ func TestSchedulerSweep(t *testing.T) {
 
 func TestCESweepPcBounded(t *testing.T) {
 	t.Parallel()
-	pts := CESweep([]int{2, 4}, 5, 4)
+	pts, err := RunSweepConfig(SweepConfig{Kind: "ce", Values: []int{2, 4}, Seed: 5, Samples: 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -41,7 +47,10 @@ func TestCacheSweepMissrateDecreases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache sweep in -short mode")
 	}
-	pts := CacheSweep([]int{32 << 10, 512 << 10}, 5, 6)
+	pts, err := RunSweepConfig(SweepConfig{Kind: "cache", Values: []int{32 << 10, 512 << 10}, Seed: 5, Samples: 6}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pts[0].MissRate <= pts[1].MissRate {
 		t.Errorf("missrate should fall with cache size: %v vs %v",
 			pts[0].MissRate, pts[1].MissRate)

@@ -11,9 +11,8 @@
 // not serve locally.  The cmd tools' -backends flag runs a campaign
 // as such a job over a fixed fleet.
 //
-// The serving side is fx8d's POST /v1/run/session, POST
-// /v1/run/sessions and POST /v1/run/sweep endpoints
-// (internal/service), which execute units behind the daemon's
+// The serving side is fx8d's POST /v1/run/session and POST
+// /v1/run/sweep endpoints (internal/service), which execute units behind the daemon's
 // admission semaphore and cache unit results in the campaign store.
 //
 // # Errors
@@ -48,12 +47,10 @@ import (
 )
 
 // Paths of the fx8d unit-execution endpoints, shared with
-// internal/service so client and server cannot drift.  The batch
-// path carries a JSON array of session units per request.
+// internal/service so client and server cannot drift.
 const (
-	SessionPath      = "/v1/run/session"
-	SessionBatchPath = "/v1/run/sessions"
-	SweepPath        = "/v1/run/sweep"
+	SessionPath = "/v1/run/session"
+	SweepPath   = "/v1/run/sweep"
 )
 
 // DefaultUnitTimeout bounds one PostUnit attempt when the caller

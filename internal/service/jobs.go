@@ -127,14 +127,14 @@ func (s *Server) handleBackendList(w http.ResponseWriter, r *http.Request) error
 }
 
 // jobEventsPollInterval is how often the job SSE stream samples the
-// coordinator; matches the campaign progress stream's cadence.
+// coordinator.
 const jobEventsPollInterval = 50 * time.Millisecond
 
 // handleJobEvents streams one job's lifecycle as server-sent events:
 // an event whenever the status changes (state transition or progress
 // tick), ending after the job reaches a terminal state or the client
-// disconnects.  Like /v1/progress it streams, so it is registered
-// outside the admission gate and instruments itself.
+// disconnects.  It streams, so it is registered outside the
+// admission gate and instruments itself.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	st, err := s.coord.Status(r.PathValue("id"))

@@ -131,37 +131,58 @@ func TestJobSubmitPollResult(t *testing.T) {
 func TestJobEventsStream(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(t, t.TempDir())
-	spec := cheapJobSpec(2)
-	_, _, body := postJSON(t, srv, coord.JobsPath, spec)
-	var st coord.JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+	quick := core.QuickScale()
+	for _, tc := range []struct {
+		name     string
+		spec     coord.JobSpec
+		total    int
+		finished bool // open the stream only after the job is done
+	}{
+		{"finished sessions job", cheapJobSpec(2), 2, true},
+		// A campaign watched while it runs: POST it as a job, then
+		// stream its events.
+		{"running study job", coord.JobSpec{Kind: "study", Study: &quick}, quick.TotalSessions(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, body := postJSON(t, srv, coord.JobsPath, tc.spec)
+			var st coord.JobStatus
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if tc.finished {
+				awaitJobDone(t, srv, st.ID)
+			}
+			code, body := get(t, srv, coord.JobsPath+"/"+st.ID+"/events")
+			if code != http.StatusOK {
+				t.Fatalf("events = %d: %s", code, body)
+			}
+			var events []coord.JobStatus
+			for _, ln := range strings.Split(string(body), "\n") {
+				data, ok := strings.CutPrefix(ln, "data: ")
+				if !ok {
+					continue
+				}
+				var ev coord.JobStatus
+				if err := json.Unmarshal([]byte(data), &ev); err != nil {
+					t.Fatalf("decoding event %q: %v", data, err)
+				}
+				events = append(events, ev)
+			}
+			if len(events) == 0 {
+				t.Fatalf("no SSE data lines in %q", body)
+			}
+			for i := 1; i < len(events); i++ {
+				if events[i].Done < events[i-1].Done {
+					t.Errorf("progress went backwards: %d after %d", events[i].Done, events[i-1].Done)
+				}
+			}
+			if last := events[len(events)-1]; last.State != coord.StateDone || last.Done != tc.total || last.Total != tc.total {
+				t.Errorf("final event = %+v, want done %d/%d", last, tc.total, tc.total)
+			}
+		})
 	}
-	awaitJobDone(t, srv, st.ID)
 
-	code, body := get(t, srv, coord.JobsPath+"/"+st.ID+"/events")
-	if code != http.StatusOK {
-		t.Fatalf("events = %d: %s", code, body)
-	}
-	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	lastData := ""
-	for _, ln := range lines {
-		if strings.HasPrefix(ln, "data: ") {
-			lastData = strings.TrimPrefix(ln, "data: ")
-		}
-	}
-	if lastData == "" {
-		t.Fatalf("no SSE data lines in %q", body)
-	}
-	var ev coord.JobStatus
-	if err := json.Unmarshal([]byte(lastData), &ev); err != nil {
-		t.Fatalf("decoding event %q: %v", lastData, err)
-	}
-	if ev.State != coord.StateDone || ev.Done != 2 {
-		t.Errorf("final event = %+v", ev)
-	}
-
-	code, body = get(t, srv, coord.JobsPath+"/nope/events")
+	code, body := get(t, srv, coord.JobsPath+"/nope/events")
 	if code != http.StatusNotFound {
 		t.Errorf("events for unknown job = %d: %s", code, body)
 	}
@@ -268,46 +289,5 @@ func TestBackendRegisterAndList(t *testing.T) {
 	code, _, body = postJSON(t, srv, coord.BackendsRegisterPath, coord.RegisterRequest{})
 	if code != http.StatusBadRequest {
 		t.Errorf("empty register = %d: %s", code, body)
-	}
-}
-
-// TestArtefactAliasByteIdentity pins the alias contract: the legacy
-// /v1/tables/{name} and /v1/figures/{name} paths answer with exactly
-// the bytes — body and ETag — of their /v1/artefacts/{kind}/{name}
-// form.
-func TestArtefactAliasByteIdentity(t *testing.T) {
-	t.Parallel()
-	srv := newTestServer(t, t.TempDir())
-	pairs := [][2]string{
-		{"/v1/tables/1?scale=quick", "/v1/artefacts/table/1?scale=quick"},
-		{"/v1/figures/6?scale=quick", "/v1/artefacts/figure/6?scale=quick"},
-		// The plural kind spelling normalizes to the same artefact.
-		{"/v1/tables/1?scale=quick", "/v1/artefacts/tables/1?scale=quick"},
-	}
-	for _, p := range pairs {
-		reqA := httptest.NewRequest("GET", p[0], nil)
-		recA := httptest.NewRecorder()
-		srv.ServeHTTP(recA, reqA)
-		reqB := httptest.NewRequest("GET", p[1], nil)
-		recB := httptest.NewRecorder()
-		srv.ServeHTTP(recB, reqB)
-		if recA.Code != http.StatusOK || recB.Code != http.StatusOK {
-			t.Fatalf("%s = %d, %s = %d", p[0], recA.Code, p[1], recB.Code)
-		}
-		if recA.Body.String() != recB.Body.String() {
-			t.Errorf("%s and %s bodies differ", p[0], p[1])
-		}
-		etagA, etagB := recA.Header().Get("ETag"), recB.Header().Get("ETag")
-		if etagA == "" || etagA != etagB {
-			t.Errorf("%s ETag %q != %s ETag %q", p[0], etagA, p[1], etagB)
-		}
-		// A tag learned from one spelling revalidates the other.
-		reqC := httptest.NewRequest("GET", p[1], nil)
-		reqC.Header.Set("If-None-Match", etagA)
-		recC := httptest.NewRecorder()
-		srv.ServeHTTP(recC, reqC)
-		if recC.Code != http.StatusNotModified {
-			t.Errorf("%s with %s's ETag = %d, want 304", p[1], p[0], recC.Code)
-		}
 	}
 }

@@ -12,15 +12,11 @@
 //	GET  /v1/healthz                 liveness, uptime, in-flight count
 //	GET  /v1/study?scale=S           campaign summary (quick|paper)
 //	GET  /v1/artefacts/{kind}/{name} rendered table or figure
-//	GET  /v1/tables/{name}           alias of /v1/artefacts/table/{name}
-//	GET  /v1/figures/{name}          alias of /v1/artefacts/figure/{name}
 //	GET  /v1/sweep?param=P           sweep sched|cache|ce
-//	GET  /v1/progress?scale=S        SSE stream of campaign progress
 //	GET  /v1/metrics                 per-endpoint latency + cache hit rates
 //	GET  /v1/trace/{id}              spans recorded under one request ID
 //	POST /v1/purge                   drop both cache tiers
 //	POST /v1/run/session             execute one campaign session unit
-//	POST /v1/run/sessions            execute a batch of session units
 //	POST /v1/run/sweep               execute one sweep-point unit
 //	POST /v1/jobs                    submit a campaign job (201/200)
 //	GET  /v1/jobs                    list known jobs
@@ -34,26 +30,26 @@
 // The /v1/jobs endpoints are internal/coord's job-resource API:
 // campaigns as persistent, resumable resources with checkpoint in the
 // unit cache (see that package's doc for the lifecycle and resume
-// semantics).  Every non-2xx response from any endpoint carries the
-// unified error envelope — remote.ErrorResponse: a machine-readable
-// code, the message, and the request ID for trace correlation.
+// semantics).  A campaign is watched as a job: POST its spec to
+// /v1/jobs (idempotent, so an equal spec joins the existing job) and
+// stream /v1/jobs/{id}/events.  Every non-2xx response from any
+// endpoint carries the unified error envelope — remote.ErrorResponse:
+// a machine-readable code, the message, and the request ID for trace
+// correlation.
 //
 // The /v1/run endpoints are the serving side of fleet execution
 // (internal/coord dispatching through internal/remote): each request
 // carries JSON work units, runs behind the same admission semaphore
 // as the other expensive endpoints, and is cached per unit in the
 // campaign store, so a re-routed unit that was already computed here
-// is served from disk.  The batch endpoint carries many units per POST —
-// amortizing the per-unit HTTP round trip — and computes each unit
-// through the same per-unit cache namespace as the single-unit
-// endpoint, so batched and unbatched results are byte-identical.
+// is served from disk.
 //
 // # Conditional requests
 //
 // Every campaign artefact is a pure function of its canonically
-// encoded configuration, so /v1/study, /v1/tables/{name} and
-// /v1/figures/{name} carry a strong ETag derived from the same
-// sha256 content address the campaign store uses.  A request
+// encoded configuration, so /v1/study and /v1/artefacts/{kind}/{name}
+// carry a strong ETag derived from the same sha256 content address
+// the campaign store uses.  A request
 // revalidating with If-None-Match gets 304 Not Modified before any
 // campaign work happens — revalidation is free even when the
 // campaign is not.  (/v1/sweep responses embed cache-tier provenance
@@ -99,7 +95,6 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/remote"
@@ -144,37 +139,20 @@ type Config struct {
 	// bound get 400.  0 means DefaultMaxSweepSamples.
 	MaxSweepSamples int
 
-	// MaxBatchUnits bounds how many units one POST /v1/run/sessions
-	// request may carry; requests past the bound get 400.  0 means
-	// DefaultMaxBatchUnits.
-	MaxBatchUnits int
-
-	// MaxTraces bounds how many request IDs the trace store retains
-	// for GET /v1/trace/{id}; the oldest trace is evicted past the
-	// bound.  0 means obs.DefaultMaxTraces.
-	MaxTraces int
-
 	// Logger, when set, receives one structured access-log record per
 	// request (endpoint, method, path, outcome, duration, request
 	// ID).  nil disables access logging.
 	Logger *slog.Logger
 
-	// Coordinator backs the /v1/jobs API.  nil creates a private
-	// coordinator sharing the cache's store and Registry; pass one to
-	// share jobs with the daemon's resume-at-boot logic (cmd/fx8d).
+	// Coordinator backs the /v1/jobs and /v1/backends APIs.  nil
+	// creates a private coordinator sharing the cache's store; pass one
+	// to share jobs with the daemon's resume-at-boot logic (cmd/fx8d).
 	Coordinator *coord.Coordinator
-
-	// Registry backs /v1/backends registration.  nil creates a fresh
-	// registry.  Ignored when Coordinator is set — the coordinator's
-	// own registry is authoritative, so register a Registry there.
-	Registry *coord.Registry
 }
 
-// Default request-cost bounds for Config's zero fields.
-const (
-	DefaultMaxSweepSamples = 10_000
-	DefaultMaxBatchUnits   = 256
-)
+// DefaultMaxSweepSamples is the /v1/sweep samples bound when
+// Config.MaxSweepSamples is zero.
+const DefaultMaxSweepSamples = 10_000
 
 // Server is the fx8d HTTP handler.
 type Server struct {
@@ -187,7 +165,6 @@ type Server struct {
 	waiting  atomic.Int64 // expensive requests queued for admission
 	metrics  *metrics
 	tracer   *obs.Tracer
-	progress *progressBoard
 	start    time.Time
 }
 
@@ -205,42 +182,30 @@ func New(cfg Config) *Server {
 	if cfg.MaxSweepSamples <= 0 {
 		cfg.MaxSweepSamples = DefaultMaxSweepSamples
 	}
-	if cfg.MaxBatchUnits <= 0 {
-		cfg.MaxBatchUnits = DefaultMaxBatchUnits
-	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cfg.Cache,
-		coord:    cfg.Coordinator,
-		mux:      http.NewServeMux(),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		metrics:  newMetrics(),
-		tracer:   obs.NewTracer(cfg.MaxTraces),
-		progress: newProgressBoard(),
-		start:    time.Now(),
+		cfg:     cfg,
+		cache:   cfg.Cache,
+		coord:   cfg.Coordinator,
+		mux:     http.NewServeMux(),
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		metrics: newMetrics(),
+		tracer:  obs.NewTracer(obs.DefaultMaxTraces),
+		start:   time.Now(),
 	}
 	if s.coord == nil {
-		s.coord = coord.New(coord.Config{
-			Store:    cfg.Cache.Store(),
-			Registry: cfg.Registry,
-			Workers:  cfg.Workers,
-		})
+		s.coord = coord.New(coord.Config{Store: cfg.Cache.Store(), Workers: cfg.Workers})
 		s.ownCoord = true
 	}
-	s.cache.OnProgress = s.progress.observe
 	s.registerProcess()
 
 	s.handle("GET /v1/healthz", "healthz", false, s.handleHealthz)
 	s.handle("GET /v1/study", "study", true, s.handleStudy)
 	s.handle("GET /v1/artefacts/{kind}/{name}", "artefacts", true, s.handleArtefact)
-	s.handle("GET /v1/tables/{name}", "tables", true, s.handleTableAlias)
-	s.handle("GET /v1/figures/{name}", "figures", true, s.handleFigureAlias)
 	s.handle("GET /v1/sweep", "sweep", true, s.handleSweep)
 	s.handle("GET /v1/metrics", "metrics", false, s.handleMetrics)
 	s.handle("GET /v1/trace/{id}", "trace", false, s.handleTrace)
 	s.handle("POST /v1/purge", "purge", false, s.handlePurge)
 	s.handle("POST "+remote.SessionPath, "run_session", true, s.handleRunSession)
-	s.handle("POST "+remote.SessionBatchPath, "run_sessions", true, s.handleRunSessionBatch)
 	s.handle("POST "+remote.SweepPath, "run_sweep", true, s.handleRunSweep)
 	s.handle("POST "+coord.JobsPath, "jobs", false, s.handleJobSubmit)
 	s.handle("GET "+coord.JobsPath, "jobs", false, s.handleJobList)
@@ -249,8 +214,6 @@ func New(cfg Config) *Server {
 	s.handle("DELETE "+coord.JobsPath+"/{id}", "jobs", false, s.handleJobCancel)
 	s.handle("POST "+coord.BackendsRegisterPath, "backends", false, s.handleBackendRegister)
 	s.handle("GET "+coord.BackendsPath, "backends", false, s.handleBackendList)
-	s.metrics.register("progress")
-	s.mux.HandleFunc("GET /v1/progress", s.handleProgress) // streams; self-instrumented
 	s.metrics.register("jobs_events")
 	s.mux.HandleFunc("GET "+coord.JobsPath+"/{id}/events", s.handleJobEvents) // streams; self-instrumented
 	return s
@@ -600,9 +563,9 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// ArtefactResponse is the body of /v1/tables/{name} and
-// /v1/figures/{name}: the artefact rendered in the same SAS-style
-// text form the CLI tools print.
+// ArtefactResponse is the body of /v1/artefacts/{kind}/{name}: the
+// artefact rendered in the same SAS-style text form the CLI tools
+// print.
 type ArtefactResponse struct {
 	Kind  string `json:"kind"`
 	Name  string `json:"name"`
@@ -620,44 +583,22 @@ type artefactIdentity struct {
 	Config core.StudyConfig
 }
 
-// handleArtefact serves GET /v1/artefacts/{kind}/{name}, the single
-// handler behind every rendered artefact.  The historical
-// /v1/tables/{name} and /v1/figures/{name} paths are thin aliases
-// onto it, so the two spellings of one artefact are byte-identical —
-// same body, same ETag.
+// handleArtefact serves GET /v1/artefacts/{kind}/{name}: validate
+// the name against kind's catalogue, answer 304 off the ETag when
+// possible, otherwise render from the cached study.
 func (s *Server) handleArtefact(w http.ResponseWriter, r *http.Request) error {
-	kind := r.PathValue("kind")
+	kind, name := r.PathValue("kind"), r.PathValue("name")
+	has, render, catalogue := experiments.HasTable, experiments.RenderTable, experiments.Tables
 	switch kind {
-	case "table", "tables":
-		kind = "table"
-	case "figure", "figures":
-		kind = "figure"
+	case "table":
+	case "figure":
+		has, render, catalogue = experiments.HasFigure, experiments.RenderFigure, experiments.Figures
 	default:
 		return notFound("unknown artefact kind %q (valid kinds: table, figure)", kind)
 	}
-	return s.renderArtefact(w, r, kind, r.PathValue("name"))
-}
-
-func (s *Server) handleTableAlias(w http.ResponseWriter, r *http.Request) error {
-	return s.renderArtefact(w, r, "table", r.PathValue("name"))
-}
-
-func (s *Server) handleFigureAlias(w http.ResponseWriter, r *http.Request) error {
-	return s.renderArtefact(w, r, "figure", r.PathValue("name"))
-}
-
-// renderArtefact is the shared artefact pipeline: validate the name
-// against kind's catalogue, answer 304 off the ETag when possible,
-// otherwise render from the cached study.  kind is "table" or
-// "figure" (already normalized).
-func (s *Server) renderArtefact(w http.ResponseWriter, r *http.Request, kind, name string) error {
 	scale, cfg, err := scaleParam(r)
 	if err != nil {
 		return err
-	}
-	has, render, catalogue := experiments.HasTable, experiments.RenderTable, experiments.Tables
-	if kind == "figure" {
-		has, render, catalogue = experiments.HasFigure, experiments.RenderFigure, experiments.Figures
 	}
 	if !has(name) {
 		return notFound("unknown %s %q (valid %ss: %v)", kind, name, kind, experiments.Names(catalogue()))
@@ -730,8 +671,6 @@ func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) error {
 	if err := s.cache.Purge(); err != nil {
 		return fmt.Errorf("purging store: %w", err)
 	}
-	// Purged campaigns are no longer "done"; forget their progress.
-	s.progress.reset()
 	return writeJSON(w, http.StatusOK, PurgeResponse{Purged: true})
 }
 
@@ -774,12 +713,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	spans, dropped, ok := s.tracer.Trace(id)
 	if !ok {
-		retained := s.cfg.MaxTraces
-		if retained <= 0 {
-			retained = obs.DefaultMaxTraces
-		}
 		return notFound("unknown trace %q (traces are retained for the last %d request IDs)",
-			id, retained)
+			id, obs.DefaultMaxTraces)
 	}
 	return writeJSON(w, http.StatusOK, TraceResponse{ID: id, Spans: spans, Dropped: dropped})
 }
@@ -824,51 +759,6 @@ func (s *Server) handleRunSession(w http.ResponseWriter, r *http.Request) error 
 	res, err := store.GetOrComputeJSON(s.cache.Store(), coord.SessionUnitNamespace, unit, func() (core.StudyUnitResult, error) {
 		return core.RunStudyUnit(unit)
 	})
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, http.StatusOK, res)
-}
-
-// maxBatchBody bounds a /v1/run/sessions request body; even a
-// full-size batch of unit configurations is far below this.
-const maxBatchBody = 8 << 20
-
-// handleRunSessionBatch executes many session units in one request,
-// amortizing the per-unit HTTP round trip.  Each unit flows through
-// the same sessionUnitNamespace cache as the single-unit endpoint, so
-// a batched result is byte-identical to its unbatched equivalent and
-// duplicates (re-routes, unbatched retries) never recompute.
-func (s *Server) handleRunSessionBatch(w http.ResponseWriter, r *http.Request) error {
-	var units []core.StudyUnit
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-	if err := json.NewDecoder(body).Decode(&units); err != nil {
-		return badRequest("decoding work units: %v", err)
-	}
-	if len(units) == 0 {
-		return badRequest("empty session batch")
-	}
-	if len(units) > s.cfg.MaxBatchUnits {
-		return badRequest("batch of %d units exceeds the %d-unit bound", len(units), s.cfg.MaxBatchUnits)
-	}
-	for _, u := range units {
-		if u.Random == nil && u.Triggered == nil {
-			return badRequest("session unit %d has no spec", u.ID)
-		}
-	}
-	if su := spanUnitsFrom(r.Context()); su != nil {
-		for _, u := range units {
-			su.ids = append(su.ids, u.ID)
-		}
-	}
-	runner := engine.Local[core.StudyUnit, core.StudyUnitResult]{
-		Fn: func(u core.StudyUnit) (core.StudyUnitResult, error) {
-			return store.GetOrComputeJSON(s.cache.Store(), coord.SessionUnitNamespace, u, func() (core.StudyUnitResult, error) {
-				return core.RunStudyUnit(u)
-			})
-		},
-	}
-	res, err := engine.RunAll(r.Context(), s.cfg.Workers, units, runner, nil)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -138,10 +137,10 @@ func TestTablesAndFiguresEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		path, want string
 	}{
-		{"/v1/tables/1?scale=quick", "TABLE 1"},
-		{"/v1/tables/a1?scale=quick", "Table A.1"},
-		{"/v1/figures/6?scale=quick", "Figure 6"},
-		{"/v1/figures/B.3?scale=quick", "BUS BUSY"},
+		{"/v1/artefacts/table/1?scale=quick", "TABLE 1"},
+		{"/v1/artefacts/table/a1?scale=quick", "Table A.1"},
+		{"/v1/artefacts/figure/6?scale=quick", "Figure 6"},
+		{"/v1/artefacts/figure/B.3?scale=quick", "BUS BUSY"},
 	} {
 		code, body := get(t, srv, tc.path)
 		if code != http.StatusOK {
@@ -162,10 +161,10 @@ func TestTablesAndFiguresEndpoints(t *testing.T) {
 		t.Errorf("artefact endpoints ran %d campaigns, want 1", st.Computes)
 	}
 
-	if code, body := get(t, srv, "/v1/tables/9?scale=quick"); code != http.StatusNotFound {
+	if code, body := get(t, srv, "/v1/artefacts/table/9?scale=quick"); code != http.StatusNotFound {
 		t.Errorf("unknown table = %d: %s", code, body)
 	}
-	if code, body := get(t, srv, "/v1/figures/99?scale=quick"); code != http.StatusNotFound {
+	if code, body := get(t, srv, "/v1/artefacts/figure/99?scale=quick"); code != http.StatusNotFound {
 		t.Errorf("unknown figure = %d: %s", code, body)
 	}
 }
@@ -252,116 +251,10 @@ func TestMetricsAndPurge(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("purge = %d: %s", rec.Code, rec.Body)
 	}
-	// A purged campaign is no longer "done" to the progress stream.
-	_, pbody := get(t, srv, "/v1/progress?scale=quick")
-	if !strings.Contains(string(pbody), `"state":"idle"`) {
-		t.Errorf("progress after purge = %s, want idle", pbody)
-	}
 	get(t, srv, "/v1/study?scale=quick")
 	if st := srv.cache.Stats(); st.Computes != 2 {
 		t.Errorf("Computes after purge = %d, want 2", st.Computes)
 	}
-	// The recompute re-registered with the board: done at full count.
-	_, pbody = get(t, srv, "/v1/progress?scale=quick")
-	if !strings.Contains(string(pbody), `"state":"done"`) {
-		t.Errorf("progress after recompute = %s, want done", pbody)
-	}
-}
-
-func TestProgressStream(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("campaign-heavy sequential stream check in -short mode (covered without -race; the concurrent stream test still races)")
-	}
-	srv := newTestServer(t, "")
-
-	// Idle before any campaign.
-	code, body := get(t, srv, "/v1/progress?scale=quick")
-	if code != http.StatusOK {
-		t.Fatalf("progress = %d", code)
-	}
-	if !strings.Contains(string(body), `"state":"idle"`) {
-		t.Errorf("cold progress = %s, want idle", body)
-	}
-
-	// Run the campaign, then the stream reports done with the full
-	// session count.
-	get(t, srv, "/v1/study?scale=quick")
-	_, body = get(t, srv, "/v1/progress?scale=quick")
-	var ev ProgressEvent
-	line := lastDataLine(t, body)
-	if err := json.Unmarshal([]byte(line), &ev); err != nil {
-		t.Fatalf("decoding %q: %v", line, err)
-	}
-	total := core.QuickScale().TotalSessions()
-	if ev.State != "done" || ev.Done != total || ev.Total != total {
-		t.Errorf("progress after campaign = %+v, want done %d/%d", ev, total, total)
-	}
-	if code, _ := get(t, srv, "/v1/progress?scale=bogus"); code != http.StatusBadRequest {
-		t.Errorf("bad progress scale = %d", code)
-	}
-}
-
-// TestProgressStreamWhileRunning drives a campaign from one goroutine
-// and watches the SSE stream concurrently: it must observe running
-// events strictly increasing to done.
-func TestProgressStreamWhileRunning(t *testing.T) {
-	t.Parallel()
-	srv := newTestServer(t, "")
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		get(t, srv, "/v1/study?scale=quick")
-	}()
-	<-started
-
-	code, body := get(t, srv, "/v1/progress?scale=quick")
-	if code != http.StatusOK {
-		t.Fatalf("progress = %d", code)
-	}
-	var states []ProgressEvent
-	sc := bufio.NewScanner(strings.NewReader(string(body)))
-	for sc.Scan() {
-		line := strings.TrimPrefix(sc.Text(), "data: ")
-		if line == sc.Text() || line == "" {
-			continue
-		}
-		var ev ProgressEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("decoding %q: %v", line, err)
-		}
-		states = append(states, ev)
-	}
-	if len(states) == 0 {
-		t.Fatal("no progress events")
-	}
-	last := states[len(states)-1]
-	if last.State != "done" && last.State != "idle" {
-		t.Errorf("final event = %+v, want a terminal state", last)
-	}
-	prev := -1
-	for _, ev := range states {
-		if ev.State == "running" {
-			if ev.Done < prev {
-				t.Errorf("progress went backwards: %d after %d", ev.Done, prev)
-			}
-			prev = ev.Done
-		}
-	}
-}
-
-func lastDataLine(t *testing.T, body []byte) string {
-	t.Helper()
-	var last string
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, "data: "); ok {
-			last = rest
-		}
-	}
-	if last == "" {
-		t.Fatalf("no SSE data lines in %q", body)
-	}
-	return last
 }
 
 func post(t *testing.T, srv *Server, path, body string) (int, []byte) {

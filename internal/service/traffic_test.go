@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,12 +9,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 )
 
 // Wire-behavior tests: conditional requests (ETag/304), bounded
-// backpressure (429 + Retry-After), disconnect accounting, request
-// cost bounds, and the batched unit endpoint.
+// backpressure (429 + Retry-After), disconnect accounting and request
+// cost bounds.
 
 // getH is get returning the response headers too.
 func getH(t *testing.T, srv *Server, path string, hdr map[string]string) (int, []byte, http.Header) {
@@ -91,7 +89,7 @@ func TestArtefactETagIdentity(t *testing.T) {
 	// Case-insensitive spellings of one artefact share one tag, which
 	// the handlers guarantee by lowercasing the name.
 	srv := newTestServer(t, "")
-	code, _, h1 := getH(t, srv, "/v1/figures/bogus", nil)
+	code, _, h1 := getH(t, srv, "/v1/artefacts/figure/bogus", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown figure = %d, want 404", code)
 	}
@@ -190,93 +188,5 @@ func TestSweepSamplesBound(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "bound") {
 		t.Errorf("bound rejection = %s, want the bound named", body)
-	}
-}
-
-func TestRunSessionBatchEndpoint(t *testing.T) {
-	t.Parallel()
-	srv := newTestServer(t, t.TempDir())
-	units := make([]core.StudyUnit, 3)
-	for i := range units {
-		units[i] = core.StudyUnit{ID: i + 1, Random: &core.SessionSpec{
-			Samples:  2,
-			Sampling: monitor.SampleSpec{Snapshots: 2, GapCycles: 2_000},
-			Seed:     uint64(31 + i),
-		}}
-	}
-	payload, err := json.Marshal(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	code, body := post(t, srv, "/v1/run/sessions", string(payload))
-	if code != http.StatusOK {
-		t.Fatalf("run/sessions = %d: %s", code, body)
-	}
-	var results []core.StudyUnitResult
-	if err := json.Unmarshal(body, &results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(units) {
-		t.Fatalf("batch returned %d results for %d units", len(results), len(units))
-	}
-
-	// Each batched result is byte-identical to the single-unit
-	// endpoint's answer for the same unit.
-	for i, u := range units {
-		uJSON, _ := json.Marshal(u)
-		code, single := post(t, srv, "/v1/run/session", string(uJSON))
-		if code != http.StatusOK {
-			t.Fatalf("run/session unit %d = %d", i, code)
-		}
-		batched, _ := json.Marshal(results[i])
-		if string(batched)+"\n" != string(single) {
-			t.Errorf("unit %d: batched result differs from unbatched result", i)
-		}
-	}
-
-	// The batch populated the per-unit cache: re-running it writes
-	// nothing new.
-	writes := srv.cache.Store().Stats().Writes
-	if code, _ := post(t, srv, "/v1/run/sessions", string(payload)); code != http.StatusOK {
-		t.Fatal("second batch failed")
-	}
-	if st := srv.cache.Store().Stats(); st.Writes != writes {
-		t.Errorf("duplicate batch wrote %d new records, want 0", st.Writes-writes)
-	}
-
-	// Defective batches are rejected before any compute.
-	for name, bad := range map[string]string{
-		"empty":     `[]`,
-		"spec-less": `[{"id":9}]`,
-		"malformed": `[{"id":`,
-	} {
-		if code, _ := post(t, srv, "/v1/run/sessions", bad); code != http.StatusBadRequest {
-			t.Errorf("%s batch = %d, want 400", name, code)
-		}
-	}
-}
-
-func TestRunSessionBatchSizeBound(t *testing.T) {
-	t.Parallel()
-	srv := New(Config{Cache: core.NewStudyCache(), MaxBatchUnits: 2})
-	unit := func(id int) core.StudyUnit {
-		return core.StudyUnit{ID: id, Random: &core.SessionSpec{
-			Samples:  1,
-			Sampling: monitor.SampleSpec{Snapshots: 1, GapCycles: 2_000},
-			Seed:     uint64(id),
-		}}
-	}
-	over, _ := json.Marshal([]core.StudyUnit{unit(1), unit(2), unit(3)})
-	code, body := post(t, srv, "/v1/run/sessions", string(over))
-	if code != http.StatusBadRequest {
-		t.Fatalf("oversize batch = %d (%s), want 400", code, body)
-	}
-	if !strings.Contains(string(body), "bound") {
-		t.Errorf("oversize rejection = %s, want the bound named", body)
-	}
-	at, _ := json.Marshal([]core.StudyUnit{unit(1), unit(2)})
-	if code, body := post(t, srv, "/v1/run/sessions", string(at)); code != http.StatusOK {
-		t.Errorf("batch at the bound = %d (%s), want 200", code, body)
 	}
 }
