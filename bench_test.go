@@ -15,12 +15,12 @@ import (
 	"repro/internal/monitor"
 )
 
-// campaign returns the shared quick-scale campaign.  core.CachedStudy
+// campaign returns the shared quick-scale campaign.  core.DefaultStudyCache
 // memoizes it by configuration, so the expensive part runs once no
 // matter how many benchmarks ask for it — or how concurrently.
 func campaign(b *testing.B) *core.Study {
 	b.Helper()
-	return core.CachedStudy(core.QuickScale(), 0)
+	return core.DefaultStudyCache.Get(core.QuickScale(), 0)
 }
 
 // renderBench times an artefact generator and returns the last output

@@ -6,10 +6,14 @@
 //
 // Usage:
 //
-//	benchdiff -parse [-o BENCH_x.json] [STREAM]   parse a bench run (stdin default)
+//	benchdiff -parse [-o BENCH_x.json] [STREAM...] parse bench runs (stdin default)
 //	benchdiff -print FILE...                      summarize result files
 //	benchdiff [-threshold 15%] [-allow-missing] OLD NEW
 //	                                              compare sets; exits 1 past threshold
+//
+// -parse folds a benchmark named in several STREAMs (repeated runs of
+// one harness, say) the way -count repeats in one stream fold: the
+// fastest ns/op, and each custom metric's best value.
 //
 // OLD and NEW are files in any accepted form, or directories whose
 // BENCH_*.json files are matched by name.  A baseline that lacks a
@@ -46,7 +50,7 @@ var errRegression = errors.New("benchmark regression past threshold")
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	parse := fs.Bool("parse", false, "parse a go test -json bench stream into a result set")
+	parse := fs.Bool("parse", false, "parse go test -json bench streams into one result set")
 	out := fs.String("o", "", "with -parse: write the result set to this file (default stdout)")
 	print := fs.Bool("print", false, "print a summary of each result file")
 	threshold := fs.String("threshold", "15%", "regression threshold, e.g. 15% or 0.15")
@@ -72,25 +76,24 @@ func run(args []string, stdout io.Writer) error {
 	return runCompare(fs.Arg(0), fs.Arg(1), th, *allowMissing, stdout)
 }
 
-// runParse converts one bench stream (file or stdin) into a result
-// set document.
+// runParse converts bench streams (files, or stdin when none are
+// given) into one result set document, folding same-name results.
 func runParse(args []string, out string, stdout io.Writer) error {
-	var in io.Reader = os.Stdin
-	switch len(args) {
-	case 0:
-	case 1:
-		f, err := os.Open(args[0])
+	var s perf.Set
+	if len(args) == 0 {
+		var err error
+		if s, err = perf.Parse(os.Stdin); err != nil {
+			return err
+		}
+	}
+	for _, path := range args {
+		in, err := perf.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		in = f
-	default:
-		return fmt.Errorf("-parse takes at most one input file")
-	}
-	s, err := perf.Parse(in)
-	if err != nil {
-		return err
+		for _, res := range in.Results {
+			s.Fold(res)
+		}
 	}
 	if out == "" {
 		return s.Write(stdout)

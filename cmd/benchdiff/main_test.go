@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +43,44 @@ func TestParseModeWritesResultSet(t *testing.T) {
 	}
 	if len(s.Results) != 1 || s.Results[0].Name != "BenchmarkY" || s.Results[0].NsPerOp != 5000 {
 		t.Errorf("parsed set = %+v", s)
+	}
+}
+
+// TestParseModeFoldsSeveralRuns: -parse over several recorded runs
+// folds each benchmark as -count repeats fold — fastest ns/op, best
+// custom metric — and keeps a benchmark only one run recorded.
+func TestParseModeFoldsSeveralRuns(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_x.json")
+	var runs []string
+	for i, r := range []perf.Result{
+		{Name: "BenchmarkLoad", NsPerOp: 900, Iterations: 10, Metrics: map[string]float64{"rps": 40}},
+		{Name: "BenchmarkLoad", NsPerOp: 700, Iterations: 12, Metrics: map[string]float64{"rps": 30}},
+		{Name: "BenchmarkOnce", NsPerOp: 50, Iterations: 3},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+		if err := (perf.Set{Results: []perf.Result{r}}).WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, path)
+	}
+	var buf bytes.Buffer
+	if err := run(append([]string{"-parse", "-o", out}, runs...), &buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := perf.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Results) != 2 {
+		t.Fatalf("folded set has %d results, want 2: %+v", len(s.Results), s)
+	}
+	load, _ := s.Lookup("BenchmarkLoad")
+	if load.NsPerOp != 700 || load.Iterations != 12 || load.Metrics["rps"] != 40 {
+		t.Errorf("BenchmarkLoad folded to %+v, want the fastest run (700 ns/op, 12 iterations) with the best rps 40", load)
+	}
+	if once, ok := s.Lookup("BenchmarkOnce"); !ok || once.NsPerOp != 50 {
+		t.Errorf("BenchmarkOnce = %+v, %v; want it kept as recorded", once, ok)
 	}
 }
 

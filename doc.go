@@ -12,8 +12,8 @@
 // (internal/engine): independent sessions — each booting its own
 // machine, OS and workload from a derived seed — fan out over a
 // bounded worker pool and are reduced in session order, so results
-// are identical for every worker count.  core.RunStudyWorkers and the
-// experiments Sweep*Workers variants expose the knob; the cmd tools
+// are identical for every worker count.  core.RunStudyWorkers and
+// experiments.RunSweepConfig take the worker count; the cmd tools
 // surface it as -workers (default: one worker per CPU).
 //
 // The session lifecycle is allocation-free after warm-up: each worker
@@ -23,9 +23,7 @@
 // buffers (fx8.Loop.BodyInto) — rather than booting fresh state.
 // Reuse is bit-exact, and removing the shared allocator/GC traffic is
 // what lets the embarrassingly-parallel campaign actually scale with
-// workers.  engine.MapWith threads explicit per-worker state through
-// the pool (one state per goroutine, never shared; see the engine
-// package docs for the contract).
+// workers.
 //
 // Completed campaigns flow through a two-tier cache
 // (core.StudyCache): an in-process memo (bounded, FIFO-evicted) in
@@ -44,8 +42,10 @@
 // fx8d backends, which pull units from a work-stealing ledger
 // (engine.Ledger) and POST each to /v1/run/session or /v1/run/sweep
 // through internal/remote's transport.  A failing backend is
-// abandoned and its units are stolen by peers or computed locally.
-// Results are reassembled in unit order, so fleet output is
+// abandoned and its units are stolen by peers or computed locally on
+// engine.Drain, the engine's one local pool (RunAll runs on it too).
+// Results are reassembled in unit order by the reduction local runs
+// use (core.AssembleStudy for campaigns), so fleet output is
 // byte-identical to local output for every backend count.  cmd/sweep,
 // cmd/measure and cmd/figures run a temporary job over a fixed fleet
 // with -backends host:port,..., or submit a persistent one to a

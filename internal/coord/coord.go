@@ -22,9 +22,12 @@
 // of the slowest peer's deque, so one degraded node cannot tail-block
 // a campaign.  A backend that keeps failing is abandoned and its
 // remaining units are stolen or drained locally; with no backends at
-// all the coordinator computes in-process.  Either way the assembled
-// result is byte-identical to local execution, because units are pure
-// functions of their spec and assembly reduces them in canonical unit
+// all the coordinator computes in-process.  In-process compute is
+// engine.Drain on the same ledger — the engine's one local pool, so
+// it shows in engine.Stats like any local run.  Either way the
+// assembled result is byte-identical to local execution, because
+// units are pure functions of their spec and a study is reduced by
+// core.AssembleStudy, the reduction local runs use, in canonical unit
 // order.  Run wraps one job in a temporary coordinator over a fixed
 // fleet: the cmd tools' -backends path.
 //
@@ -43,7 +46,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -701,7 +703,7 @@ func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 		if spec.Kind == "sessions" {
 			return &JobResult{Sessions: results}, nil
 		}
-		st, err := assembleStudy(ctx, *spec.Study, study, results)
+		st, err := core.AssembleStudy(*spec.Study, results)
 		if err != nil {
 			return nil, err
 		}
@@ -730,34 +732,6 @@ func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 	return &JobResult{Points: results}, nil
 }
 
-// assembleStudy reduces unit results into the full Study through
-// core.RunStudyRunner with a pure-replay runner, so the reduction —
-// and therefore the bytes — are exactly those of local execution.
-func assembleStudy(ctx context.Context, cfg core.StudyConfig, units []core.StudyUnit, results []core.StudyUnitResult) (*core.Study, error) {
-	byUnit := make(map[string]core.StudyUnitResult, len(units))
-	for i, u := range units {
-		b, err := json.Marshal(u)
-		if err != nil {
-			return nil, err
-		}
-		byUnit[string(b)] = results[i]
-	}
-	replay := engine.Local[core.StudyUnit, core.StudyUnitResult]{
-		Fn: func(u core.StudyUnit) (core.StudyUnitResult, error) {
-			b, err := json.Marshal(u)
-			if err != nil {
-				return core.StudyUnitResult{}, err
-			}
-			res, ok := byUnit[string(b)]
-			if !ok {
-				return core.StudyUnitResult{}, fmt.Errorf("coord: no result for unit %s", b)
-			}
-			return res, nil
-		},
-	}
-	return core.RunStudyRunner(ctx, cfg, 1, replay, nil)
-}
-
 // checkSession rejects a session result that lacks the session kind
 // its unit asked for: what a backend answering 200 with the wrong
 // shape (version skew, a wrong service on the port) decodes to.
@@ -779,10 +753,11 @@ func checkSweepPoint(u experiments.SweepUnit, p experiments.SweepPoint) error {
 
 // runUnits is the dispatch loop: replay completed units from the
 // store, push the rest into a per-backend ledger, and drain it with
-// pulling workers — per-backend ones first, a local pool for whatever
-// the fleet could not serve.  A dispatched result must pass check
-// before it is stored: a wrong-shape answer counts as a failure of
-// its backend, so it never reaches the shared unit cache.
+// pulling workers — per-backend ones first, then engine.Drain, the
+// engine's local pool, for whatever the fleet could not serve.  A
+// dispatched result must pass check before it is stored: a
+// wrong-shape answer counts as a failure of its backend, so it never
+// reaches the shared unit cache.
 func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, keys []string, path string,
 	local func(U) (R, error), check func(U, R) error) ([]R, error) {
 	results := make([]R, len(units))
@@ -826,22 +801,11 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 	idle, drained := context.WithCancel(ctx)
 	defer drained()
 
-	var failMu sync.Mutex
-	var failErr error
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-		led.Cancel()
-	}
-
+	// completeUnit books a computed unit; the caller settles its lease.
 	completeUnit := func(ls engine.Lease[int], res R) {
 		idx := ls.Item
 		results[idx] = res
 		store.PutJSON(c.cfg.Store, keys[idx], res)
-		led.Complete(ls)
 		c.computed.Add(1)
 		if ls.Stolen {
 			c.stolen.Add(1)
@@ -891,6 +855,7 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 					if err == nil {
 						failures, sheds = 0, 0
 						completeUnit(ls, res)
+						led.Complete(ls)
 						continue
 					}
 					led.Release(ls)
@@ -931,45 +896,17 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 	if wn := j.specWorkers(); wn > 0 {
 		workers = wn
 	}
-	if workers <= 0 {
-		workers = engine.DefaultWorkers()
-	}
-	var lwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lwg.Add(1)
-		go func() {
-			defer lwg.Done()
-			for {
-				ls, ok := led.Lease(localOwner)
-				if !ok {
-					return
-				}
-				if ctx.Err() != nil {
-					led.Release(ls)
-					return
-				}
-				res, err := local(units[ls.Item])
-				if err != nil {
-					led.Release(ls)
-					fail(err)
-					return
-				}
-				completeUnit(ls, res)
-			}
-		}()
-	}
-	lwg.Wait()
-
-	if err := ctx.Err(); err != nil {
+	if err := engine.Drain(ctx, workers, led, localOwner, func(_ context.Context, ls engine.Lease[int]) error {
+		res, err := local(units[ls.Item])
+		if err != nil {
+			return err
+		}
+		completeUnit(ls, res)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	failMu.Lock()
-	err := failErr
-	failMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return results, ctx.Err()
 }
 
 // specWorkers reads the job spec's worker bound.

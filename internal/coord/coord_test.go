@@ -148,6 +148,23 @@ func TestSweepJobMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestSweepJobUnknownKindMatchesLocal: a sweep job naming an unknown
+// kind is rejected with the error local sweeps report, so the CLI,
+// the daemon and coordinator jobs fail identically.
+func TestSweepJobUnknownKindMatchesLocal(t *testing.T) {
+	t.Parallel()
+	cfg := experiments.SweepConfig{Kind: "bogus", Values: []int{1}, Seed: 3, Samples: 1}
+	_, local := experiments.RunSweepConfig(cfg, 1)
+	_, _, cached := experiments.CachedSweep(nil, cfg, 1)
+	job := coord.JobSpec{Kind: "sweep", Sweep: &cfg}.Validate()
+	if local == nil || cached == nil || job == nil {
+		t.Fatalf("unknown kind accepted: RunSweepConfig %v, CachedSweep %v, Validate %v", local, cached, job)
+	}
+	if cached.Error() != local.Error() || job.Error() != local.Error() {
+		t.Errorf("errors differ: RunSweepConfig %q, CachedSweep %q, Validate %q", local, cached, job)
+	}
+}
+
 func TestMemoryOnlyCoordinator(t *testing.T) {
 	t.Parallel()
 	c := coord.New(coord.Config{}) // no store: nothing persists, jobs still run

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/remote"
@@ -239,6 +240,35 @@ func TestDispatchNoBackendsComputesLocally(t *testing.T) {
 	}
 	if rs := c.RetryStats(); rs.Attempts != 0 || rs.GiveUps != 0 {
 		t.Errorf("retry stats = %+v, want no dispatch attempts", rs)
+	}
+}
+
+// TestLocalComputeBooksEngineStats: a job computed in-process runs on
+// the engine's pool, so every unit it computes shows in engine.Stats
+// (and with it fx8d's fx8d_engine_* metrics).  Not parallel: the
+// engine's counters are process-wide, and parallel tests start only
+// after every sequential one has finished, so the deltas are exact.
+func TestLocalComputeBooksEngineStats(t *testing.T) {
+	units := sessionUnits(5)
+	before := engine.Stats()
+	c := coord.New(coord.Config{Registry: coord.NewRegistry(), Workers: 2})
+	defer c.Close()
+	st, _, err := c.Submit(coord.JobSpec{Kind: "sessions", Units: units})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := await(t, c, st.ID); final.State != coord.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	after := engine.Stats()
+	if got := after.UnitsCompleted - before.UnitsCompleted; got != uint64(len(units)) {
+		t.Errorf("engine UnitsCompleted delta = %d, want the job's %d units", got, len(units))
+	}
+	if got := after.Pools - before.Pools; got != 1 {
+		t.Errorf("engine Pools delta = %d, want 1 (one local drain)", got)
+	}
+	if after.BusyNs <= before.BusyNs {
+		t.Errorf("engine BusyNs did not advance: %d -> %d", before.BusyNs, after.BusyNs)
 	}
 }
 

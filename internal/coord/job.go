@@ -92,8 +92,8 @@ func (s JobSpec) Validate() error {
 		if s.Sweep == nil {
 			return errors.New("coord: sweep job without sweep config")
 		}
-		if experiments.DefaultSweepValues(s.Sweep.Kind) == nil {
-			return fmt.Errorf("coord: unknown sweep kind %q", s.Sweep.Kind)
+		if err := experiments.CheckSweepKind(s.Sweep.Kind); err != nil {
+			return err
 		}
 		if len(s.Sweep.Values) == 0 {
 			return errors.New("coord: sweep config has no values")

@@ -21,11 +21,11 @@ import (
 //
 // An arena is NOT safe for concurrent use: it is one worker's
 // scratch.  Workers obtain private arenas from the process-wide pool
-// (RunRandomSession and friends do this automatically) or thread one
-// through engine.MapWith.  Reuse is exact by construction — a session
-// run in a dirty arena is bit-identical to the same session run on
-// freshly allocated state — and the reuse tests in arena_test.go pin
-// that equivalence end to end.
+// (RunRandomSession and friends do this automatically) or hold one of
+// their own.  Reuse is exact by construction — a session run in a
+// dirty arena is bit-identical to the same session run on freshly
+// allocated state — and the reuse tests in arena_test.go pin that
+// equivalence end to end.
 type SessionArena struct {
 	cfg fx8.Config
 	cl  *fx8.Cluster

@@ -49,7 +49,7 @@ func BenchmarkRunTriggeredSession(b *testing.B) {
 // BenchmarkEncodeStudy measures EncodeStudy on the quick-scale
 // campaign: the serialization every stored campaign pays once.
 func BenchmarkEncodeStudy(b *testing.B) {
-	st := CachedStudy(QuickScale(), 0)
+	st := DefaultStudyCache.Get(QuickScale(), 0)
 	data, err := EncodeStudy(st)
 	if err != nil {
 		b.Fatal(err)
@@ -68,7 +68,7 @@ func BenchmarkEncodeStudy(b *testing.B) {
 // campaign: the reload every cached report, daemon restart and job
 // result fetch pays, most of it in the triggered sessions' buffers.
 func BenchmarkDecodeStudy(b *testing.B) {
-	data, err := EncodeStudy(CachedStudy(QuickScale(), 0))
+	data, err := EncodeStudy(DefaultStudyCache.Get(QuickScale(), 0))
 	if err != nil {
 		b.Fatal(err)
 	}

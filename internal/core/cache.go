@@ -100,9 +100,8 @@ type StudyCache struct {
 	errors  atomic.Uint64
 }
 
-// DefaultStudyCache is the process-wide campaign cache used by
-// CachedStudy and the cmd tools.  Its memo is bounded by
-// DefaultMemoEntries.
+// DefaultStudyCache is the process-wide campaign cache the cmd tools
+// share.  Its memo is bounded by DefaultMemoEntries.
 var DefaultStudyCache = NewStudyCache()
 
 // NewStudyCache returns a memory-only StudyCache with the default

@@ -163,28 +163,19 @@ func RunStudy(cfg StudyConfig) *Study {
 // the result identical for every worker count (workers <= 0 selects
 // one worker per CPU).
 func RunStudyWorkers(cfg StudyConfig, workers int) *Study {
-	return RunStudyProgress(cfg, workers, nil)
-}
-
-// TotalSessions returns the number of sessions the campaign runs —
-// the denominator of progress reports.
-func (cfg StudyConfig) TotalSessions() int {
-	return cfg.RandomSessions + cfg.HighConcSessions + cfg.TransitionSessions
-}
-
-// RunStudyProgress is RunStudyWorkers with a session-completion
-// callback: progress(done, total) fires from worker goroutines as
-// sessions finish (see engine.MapProgress for its contract); nil
-// disables reporting.  The callback observes scheduling order, but
-// the returned Study is identical regardless.
-func RunStudyProgress(cfg StudyConfig, workers int, progress func(done, total int)) *Study {
-	st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), progress)
+	st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), nil)
 	if err != nil {
 		// The local runner never fails a unit: its compute function
 		// returns no error and ignores the context.
 		panic(err)
 	}
 	return st
+}
+
+// TotalSessions returns the number of sessions the campaign runs —
+// the denominator of progress reports.
+func (cfg StudyConfig) TotalSessions() int {
+	return cfg.RandomSessions + cfg.HighConcSessions + cfg.TransitionSessions
 }
 
 // StudyUnit is one campaign session as a self-contained work unit:
@@ -242,7 +233,7 @@ func RunStudyUnit(u StudyUnit) (StudyUnitResult, error) {
 }
 
 // StudyRunner executes campaign session units: the engine's local
-// pool, or a replay of results a fleet job already computed.
+// pool, or a test's instrumented wrapper around it.
 type StudyRunner = engine.Runner[StudyUnit, StudyUnitResult]
 
 // LocalStudyRunner returns the in-process StudyRunner.
@@ -251,20 +242,27 @@ func LocalStudyRunner() StudyRunner {
 }
 
 // RunStudyRunner executes the full campaign on an arbitrary
-// StudyRunner and reduces unit results in session order, so the
+// StudyRunner and reduces unit results with AssembleStudy, so the
 // returned Study is byte-identical to local execution for every
-// worker count, backend count and unit scheduling.  progress follows
-// the engine.MapProgress contract.
+// worker count and unit scheduling.  progress follows the
+// engine.RunAll contract.
 func RunStudyRunner(ctx context.Context, cfg StudyConfig, workers int, r StudyRunner, progress func(done, total int)) (*Study, error) {
-	st := &Study{Config: cfg}
-	nR, nH := cfg.RandomSessions, cfg.HighConcSessions
-
 	// One pool covers all three groups, so stragglers in one group
 	// overlap work from the next.
 	results, err := engine.RunAll(ctx, workers, cfg.Units(), r, progress)
 	if err != nil {
 		return nil, err
 	}
+	return AssembleStudy(cfg, results)
+}
+
+// AssembleStudy reduces the results of cfg.Units(), in that order,
+// into the full Study — the one reduction behind both local runs and
+// fleet jobs, so a Study's bytes never depend on where its sessions
+// ran.
+func AssembleStudy(cfg StudyConfig, results []StudyUnitResult) (*Study, error) {
+	st := &Study{Config: cfg}
+	nR, nH := cfg.RandomSessions, cfg.HighConcSessions
 	for i, res := range results {
 		want := "triggered"
 		if i < nR {
@@ -302,14 +300,4 @@ func RunStudyRunner(ctx context.Context, cfg StudyConfig, workers int, r StudyRu
 	}
 	st.Models = FitModels(st.AllSamples)
 	return st, nil
-}
-
-// CachedStudy returns the memoized campaign for cfg from the
-// process-wide DefaultStudyCache, running it on first use with the
-// given worker count.  The returned Study is shared across callers
-// and must be treated as read-only.  Because RunStudy's output is
-// identical for every worker count, the cache key is the
-// configuration alone.
-func CachedStudy(cfg StudyConfig, workers int) *Study {
-	return DefaultStudyCache.Get(cfg, workers)
 }

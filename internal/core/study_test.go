@@ -306,14 +306,14 @@ func TestCachedStudySharesOneCampaign(t *testing.T) {
 	cfg := detScale()
 	cfg.BaseSeed = 4242 // private key: don't collide with other tests' cache entries
 
-	first := CachedStudy(cfg, 0)
+	first := DefaultStudyCache.Get(cfg, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := CachedStudy(cfg, 0); got != first {
-				t.Error("CachedStudy re-ran the campaign for an identical config")
+			if got := DefaultStudyCache.Get(cfg, 0); got != first {
+				t.Error("DefaultStudyCache re-ran the campaign for an identical config")
 			}
 		}()
 	}
@@ -321,7 +321,7 @@ func TestCachedStudySharesOneCampaign(t *testing.T) {
 
 	other := cfg
 	other.BaseSeed = 4243
-	if CachedStudy(other, 0) == first {
+	if DefaultStudyCache.Get(other, 0) == first {
 		t.Error("different configs must not share a campaign")
 	}
 }

@@ -10,22 +10,19 @@
 // exactly that shape; it makes no attempt to parallelize within a
 // session, where cycle-by-cycle ordering is the whole point.
 //
-// # Per-worker state
+// # One local pool
 //
-// Every Map variant runs on one pool of exactly min(workers, n)
-// goroutines pulling unit indices from a shared atomic counter —
-// never a goroutine per unit — so a worker is a stable home for
-// scratch that is expensive to build and unsafe to share.  The
-// contract has three clauses: (1) state is created once per worker,
-// on the worker's goroutine, and is never touched by two units
-// concurrently; (2) fn owns the state only for the duration of one
-// call and must not retain it; (3) the result of a unit must be a
-// pure function of its index — state is scratch, never input — which
-// is what keeps output identical across worker counts.  MapWith
-// threads such state explicitly; code whose scratch should outlive
-// one Map call (core's session arenas) uses a sync.Pool instead,
-// which degenerates to the same per-worker ownership under a pool
-// because each goroutine re-Gets the arena it just Put.
+// Drain is the engine's only in-process worker pool: exactly
+// min(workers, items) goroutines lease items from a Ledger until it
+// is drained or canceled — never a goroutine per unit.  RunAll is
+// Drain over a one-owner ledger of unit indices; the fleet
+// coordinator (internal/coord) drains whatever its backends could not
+// run through the same call.  Scratch that is expensive to build and
+// unsafe to share (core's session arenas) lives in a sync.Pool, which
+// degenerates to per-worker ownership under a pool because each
+// goroutine re-Gets the arena it just Put; a unit's result must stay
+// a pure function of the unit, which is what keeps output identical
+// across worker counts.
 //
 // # Instrumentation
 //
@@ -41,6 +38,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +48,10 @@ import (
 // per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// poolStats is the engine's process-wide instrumentation: every Map
-// variant books units through these atomics, so the service's
-// /v1/metrics can report queue depth, in-flight units and worker
-// busy time without the engine knowing the service exists.  The cost
+// poolStats is the engine's process-wide instrumentation: every Drain
+// books units through these atomics, so the service's /v1/metrics
+// can report queue depth, in-flight units and worker busy time
+// without the engine knowing the service exists.  The cost
 // is a few atomic adds and two clock reads per unit — noise against
 // units that each simulate millions of machine cycles.
 var poolStats struct {
@@ -73,7 +71,7 @@ type PoolStats struct {
 	InFlight       int64  // units executing right now
 	Queued         int64  // units accepted by a pool but not yet started
 	BusyNs         int64  // cumulative worker time spent inside units
-	Pools          uint64 // Map/RunAll invocations
+	Pools          uint64 // Drain invocations (RunAll, coord's local drain)
 }
 
 // Stats returns a snapshot of the engine's work accounting.  Gauges
@@ -118,131 +116,6 @@ func clamp(workers, n int) int {
 	return workers
 }
 
-// Map runs fn(0) ... fn(n-1) on a pool of at most workers goroutines
-// and returns the results indexed by unit: out[i] = fn(i) regardless
-// of scheduling.  workers <= 0 selects DefaultWorkers.  fn must be
-// safe to call from multiple goroutines on distinct indices; a panic
-// in any unit is re-raised on the caller after the pool drains.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	return MapProgress(workers, n, fn, nil)
-}
-
-// MapWith is Map with per-worker state: each worker goroutine calls
-// newState exactly once and threads the returned value through every
-// unit it runs, so S can hold scratch that is expensive to build and
-// unsafe to share — a simulator arena, a decode buffer, a local RNG.
-// newState runs on the worker goroutine; fn(s, i) owns s for the
-// duration of the call and must not retain it past returning.  States
-// are never shared between workers, never used concurrently, and are
-// dropped when the pool drains (put long-lived scratch in a sync.Pool
-// instead if it should outlive the call).  For every worker count the
-// output is out[i] = fn(·, i) in index order; determinism therefore
-// requires fn's result to be independent of which state runs it —
-// state must be scratch, not input.
-func MapWith[S, T any](workers, n int, newState func() S, fn func(s S, i int) T) []T {
-	return mapPool(workers, n, newState, fn, nil)
-}
-
-// MapProgress is Map with a completion callback: after each unit
-// finishes, progress(done, n) is invoked with the number of completed
-// units so far.  The callback runs on worker goroutines (possibly
-// concurrently for distinct counts) and must be cheap and
-// thread-safe; nil disables reporting.  Completion order — and hence
-// the sequence of done values observed — depends on scheduling.  When
-// every unit returns normally, progress(n, n) is always the final
-// call; if a unit panics, the panic is re-raised after the pool
-// drains, the panicking unit is not counted, and progress never
-// reports n — callers observing a panic must not expect a final
-// full-count call.
-func MapProgress[T any](workers, n int, fn func(i int) T, progress func(done, total int)) []T {
-	return mapPool(workers, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return fn(i) }, progress)
-}
-
-// mapPool is the one worker pool behind Map, MapWith and MapProgress:
-// exactly min(workers, n) goroutines are started (never one per unit)
-// and each pulls unit indices from a shared atomic counter until the
-// units are exhausted, building its per-worker state once on the way
-// in.  The only cross-worker synchronization on the unit path is that
-// counter (plus the optional progress counter), so workers running
-// allocation-free units share nothing that serializes them.
-func mapPool[S, T any](workers, n int, newState func() S, fn func(s S, i int) T, progress func(done, total int)) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	workers = clamp(workers, n)
-
-	// Work accounting: n units enter the queue now; each leaves it as
-	// a worker picks it up (runUnit), and whatever never started —
-	// units abandoned after a panic — is drained on the way out so
-	// the queue gauge always returns to zero.
-	poolStats.pools.Add(1)
-	poolStats.queued.Add(int64(n))
-	var started atomic.Int64
-	defer func() { poolStats.queued.Add(started.Load() - int64(n)) }()
-
-	if workers == 1 {
-		s := newState()
-		for i := range out {
-			started.Add(1)
-			runUnit(func() { out[i] = fn(s, i) })
-			if progress != nil {
-				progress(i+1, n)
-			}
-		}
-		return out
-	}
-
-	var (
-		next     atomic.Int64
-		done     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Pointer[any]
-	)
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			s := newState()
-			for {
-				// Bound-check in int64 before narrowing: on
-				// GOARCH=386 the old int(next.Add(1)) wrapped
-				// negative past 2^31 and indexed out of range
-				// instead of terminating.
-				v := next.Add(1) - 1
-				if v >= int64(n) || panicked.Load() != nil {
-					return
-				}
-				i := int(v) //fxlint:allow truncation — v < n, an int
-				completed := func() (completed bool) {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, &r)
-						}
-					}()
-					started.Add(1)
-					runUnit(func() { out[i] = fn(s, i) })
-					return true
-				}()
-				// A panicked unit is not counted, so done can never
-				// reach n once a unit has failed — the documented
-				// "no final progress(n, n) after a panic" contract.
-				if completed && progress != nil {
-					// done counts completed units, so it never
-					// exceeds n, an int.
-					progress(int(done.Add(1)), n) //fxlint:allow truncation — done <= n
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(*p)
-	}
-	return out
-}
-
 // Memo is a deterministic result cache keyed by a comparable
 // configuration.  Concurrent Gets for the same key share one
 // computation (the rest block until it finishes); Gets for different
@@ -276,9 +149,33 @@ type memoEntry[V any] struct {
 
 // Get returns the cached value for key, computing it with compute on
 // first use.  compute runs outside the cache lock, so a slow
-// computation for one key never blocks lookups for another.
+// computation for one key never blocks lookups for another.  A
+// compute that panics caches nothing: its entry is dropped before the
+// panic propagates, and Gets that were waiting on it retry, so the
+// next Get for the key computes afresh.
 func (c *Memo[K, V]) Get(key K, compute func() V) V {
+	for {
+		e := c.entry(key)
+		e.once.Do(func() {
+			defer func() {
+				if !e.done.Load() {
+					c.drop(key, e)
+				}
+			}()
+			e.v = compute()
+			e.done.Store(true)
+		})
+		if e.done.Load() {
+			return e.v
+		}
+	}
+}
+
+// entry returns key's entry, inserting an empty one — after evicting
+// down to MaxEntries — when the key is absent.
+func (c *Memo[K, V]) entry(key K) *memoEntry[V] {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.m == nil {
 		c.m = make(map[K]*memoEntry[V])
 	}
@@ -309,25 +206,21 @@ func (c *Memo[K, V]) Get(key K, compute func() V) V {
 		c.m[key] = e
 		c.order = append(c.order, key)
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.v = compute()
-		e.done.Store(true)
-	})
-	return e.v
+	return e
 }
 
-// Peek reports whether key has a completed cached value, returning it
-// if so.  It never triggers or waits for a computation.
-func (c *Memo[K, V]) Peek(key K) (V, bool) {
-	var zero V
+// drop forgets key's entry e after its compute panicked, unless a
+// Purge already replaced it.
+func (c *Memo[K, V]) drop(key K, e *memoEntry[V]) {
 	c.mu.Lock()
-	e := c.m[key]
-	c.mu.Unlock()
-	if e == nil || !e.done.Load() {
-		return zero, false
+	defer c.mu.Unlock()
+	if c.m[key] != e {
+		return
 	}
-	return e.v, true
+	delete(c.m, key)
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 }
 
 // Len returns the number of cached keys, including entries whose
@@ -349,9 +242,10 @@ func (c *Memo[K, V]) Purge() {
 }
 
 // Runner executes one independent work unit — a simulator session, a
-// sweep point — and returns its result: unit in, result out.  The
-// engine's worker pool (Local) computes units in-process; fleet
-// execution leases units through a Ledger instead (internal/coord).
+// sweep point — and returns its result: unit in, result out.  Local
+// computes units in-process on the engine's pool (RunAll); fleet
+// execution leases units to backends through a Ledger instead
+// (internal/coord).
 // RunUnit must be safe for concurrent calls on distinct units, and
 // because every unit is a pure function of its description, a Runner
 // may execute a unit more than once (retries) without changing the
@@ -375,30 +269,142 @@ func (l Local[U, R]) RunUnit(_ context.Context, unit U) (R, error) {
 // RunAll drives every unit through r on a bounded worker pool and
 // returns results in unit order, so output is identical for every
 // worker count and unit scheduling.  workers <= 0 selects
-// DefaultWorkers.  progress follows the MapProgress contract; nil
-// disables it.  The first unit error cancels ctx for the remaining
-// units and is returned after the pool drains.
+// DefaultWorkers.  Units are leased in index order from a one-owner
+// Ledger drained by Drain, so the first unit error or the end of ctx
+// stops further units from starting; the error is returned (a panic
+// re-raised) after every worker exits.
+//
+// progress, when non-nil, is called after each unit returns
+// normally with the number of completed units so far.  It runs on
+// worker goroutines (possibly concurrently for distinct counts) and
+// must be cheap and thread-safe; the sequence of done values depends
+// on scheduling.  When every unit succeeds, progress(n, n) is always
+// reported; a failed or panicking unit is not counted, so after one
+// progress never reports n.
 func RunAll[U, R any](ctx context.Context, workers int, units []U, r Runner[U, R], progress func(done, total int)) ([]R, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	out := MapProgress(workers, len(units), func(i int) R {
-		res, err := r.RunUnit(ctx, units[i])
+	n := len(units)
+	if n == 0 {
+		return nil, nil
+	}
+	const owner = "local"
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	led := NewLedger[int](owner)
+	led.Add(owner, idx...)
+	out := make([]R, n)
+	var done atomic.Int64
+	err := Drain(ctx, workers, led, owner, func(ctx context.Context, ls Lease[int]) error {
+		res, err := r.RunUnit(ctx, units[ls.Item])
 		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			cancel()
+			return err
 		}
-		return res
-	}, progress)
-	if firstErr != nil {
-		return nil, firstErr
+		out[ls.Item] = res
+		if progress != nil {
+			// done counts completed units, so it never exceeds n, an int.
+			progress(int(done.Add(1)), n) //fxlint:allow truncation — done <= n
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// Drain runs fn on items leased from led as owner — its own deque
+// first, then steals from peers — on a pool of min(workers, items)
+// goroutines, where items is what led holds pending when Drain
+// starts; workers <= 0 selects DefaultWorkers.  Every item is booked
+// in Stats.  An item whose fn returns nil is Completed.  On the first
+// error, panic or end of ctx, the item in hand is Released, led is
+// Canceled and the ctx handed to running fns is canceled; once every
+// worker has exited, the panic is re-raised or the error returned
+// (ctx's error when ctx ended).  The caller must not Complete or
+// Release the leases Drain hands to fn.
+func Drain[T any](ctx context.Context, workers int, led *Ledger[T], owner string, fn func(ctx context.Context, ls Lease[T]) error) error {
+	led.mu.Lock()
+	n := 0
+	for _, q := range led.pending {
+		n += len(q)
+	}
+	led.mu.Unlock()
+	if n == 0 {
+		return nil
+	}
+	workers = clamp(workers, n)
+
+	// Work accounting: n items enter the queue now; each leaves it as
+	// a worker picks it up (runUnit), and whatever never started —
+	// items abandoned after a failure — is drained on the way out so
+	// the queue gauge always returns to zero.
+	poolStats.pools.Add(1)
+	poolStats.queued.Add(int64(n))
+	var started atomic.Int64
+	defer func() { poolStats.queued.Add(started.Load() - int64(n)) }()
+
+	parent := ctx
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// A worker blocked in Lease cannot see ctx; canceling the ledger
+	// wakes it.
+	defer context.AfterFunc(ctx, led.Cancel)()
+
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+		panicked atomic.Pointer[any]
+	)
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		cancel()
+		led.Cancel()
+	}
+	// run executes one leased item, settling its lease either way.
+	run := func(ls Lease[T]) {
+		defer func() {
+			if r := recover(); r != nil {
+				led.Release(ls)
+				panicked.CompareAndSwap(nil, &r)
+				fail(nil) // the panic, re-raised below, outranks any error
+			}
+		}()
+		started.Add(1)
+		var err error
+		runUnit(func() { err = fn(ctx, ls) })
+		if err != nil {
+			led.Release(ls)
+			fail(err)
+			return
+		}
+		led.Complete(ls)
+	}
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for {
+				ls, ok := led.Lease(owner)
+				if !ok {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					led.Release(ls)
+					fail(err)
+					return
+				}
+				run(ls)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	return parent.Err()
 }

@@ -10,13 +10,37 @@ import (
 	"time"
 )
 
+// indices returns the units 0..n-1.
+func indices(n int) []int {
+	units := make([]int, n)
+	for i := range units {
+		units[i] = i
+	}
+	return units
+}
+
+// mapAll runs fn over indices 0..n-1 through RunAll, failing the test
+// on a unit error.
+func mapAll(t *testing.T, workers, n int, fn func(i int) int, progress func(done, total int)) []int {
+	t.Helper()
+	out, err := RunAll(context.Background(), workers, indices(n),
+		Local[int, int]{Fn: func(i int) (int, error) { return fn(i), nil }}, progress)
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	return out
+}
+
+// The TestMap* tests pin RunAll's map contract: out[i] is unit i's
+// result whatever the worker count and scheduling.
+
 func TestMapResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 100} {
-		got := Map(workers, 50, func(i int) int {
+		got := mapAll(t, workers, 50, func(i int) int {
 			// Finish out of submission order to stress reassembly.
 			time.Sleep(time.Duration((i*7)%5) * time.Millisecond)
 			return i * i
-		})
+		}, nil)
 		if len(got) != 50 {
 			t.Fatalf("workers=%d: len = %d", workers, len(got))
 		}
@@ -29,21 +53,22 @@ func TestMapResultsInIndexOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(4, 0, func(int) int { return 1 }); got != nil {
-		t.Errorf("n=0 should return nil, got %v", got)
+	before := Stats()
+	if got := mapAll(t, 4, 0, func(int) int { return 1 }, nil); got != nil {
+		t.Errorf("no units should return nil, got %v", got)
 	}
-	if got := Map(4, -3, func(int) int { return 1 }); got != nil {
-		t.Errorf("n<0 should return nil, got %v", got)
+	if after := Stats(); after.Pools != before.Pools {
+		t.Errorf("an empty RunAll booked %d pools, want 0", after.Pools-before.Pools)
 	}
 }
 
 func TestMapEachIndexExactlyOnce(t *testing.T) {
 	const n = 200
 	var calls [n]atomic.Int32
-	Map(8, n, func(i int) struct{} {
+	mapAll(t, 8, n, func(i int) int {
 		calls[i].Add(1)
-		return struct{}{}
-	})
+		return i
+	}, nil)
 	for i := range calls {
 		if c := calls[i].Load(); c != 1 {
 			t.Errorf("index %d called %d times", i, c)
@@ -54,7 +79,7 @@ func TestMapEachIndexExactlyOnce(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
-	Map(workers, 40, func(i int) int {
+	mapAll(t, workers, 40, func(i int) int {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -65,25 +90,29 @@ func TestMapBoundsConcurrency(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		inFlight.Add(-1)
 		return i
-	})
+	}, nil)
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak in-flight = %d, want <= %d", p, workers)
 	}
 }
 
 func TestMapPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "unit 3 failed" {
-			t.Errorf("recovered %v, want unit 3's panic", r)
-		}
-	}()
-	Map(4, 8, func(i int) int {
-		if i == 3 {
-			panic("unit 3 failed")
-		}
-		return i
-	})
-	t.Error("Map returned instead of panicking")
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "unit 3 failed" {
+					t.Errorf("workers=%d: recovered %v, want unit 3's panic", workers, r)
+				}
+			}()
+			mapAll(t, workers, 8, func(i int) int {
+				if i == 3 {
+					panic("unit 3 failed")
+				}
+				return i
+			}, nil)
+			t.Errorf("workers=%d: RunAll returned instead of panicking", workers)
+		}()
+	}
 }
 
 func TestClamp(t *testing.T) {
@@ -128,7 +157,7 @@ func TestMapProgressReachesTotal(t *testing.T) {
 		var calls atomic.Int32
 		var sawFinal atomic.Bool
 		const n = 25
-		Map := MapProgress(workers, n, func(i int) int { return i }, func(done, total int) {
+		out := mapAll(t, workers, n, func(i int) int { return i }, func(done, total int) {
 			calls.Add(1)
 			if total != n {
 				t.Errorf("workers=%d: total = %d, want %d", workers, total, n)
@@ -137,8 +166,8 @@ func TestMapProgressReachesTotal(t *testing.T) {
 				sawFinal.Store(true)
 			}
 		})
-		if len(Map) != n {
-			t.Fatalf("workers=%d: len = %d", workers, len(Map))
+		if len(out) != n {
+			t.Fatalf("workers=%d: len = %d", workers, len(out))
 		}
 		if c := calls.Load(); c != n {
 			t.Errorf("workers=%d: progress called %d times, want %d", workers, c, n)
@@ -161,13 +190,11 @@ func TestMemoMaxEntriesEvictsOldest(t *testing.T) {
 	if n := m.Len(); n != 2 {
 		t.Errorf("Len = %d, want 2", n)
 	}
-	if _, ok := m.Peek(1); ok {
-		t.Error("key 1 should have been evicted")
+	get(3) // still cached
+	if c := computes.Load(); c != 3 {
+		t.Errorf("computed %d times after re-getting key 3, want 3 (key 3 cached)", c)
 	}
-	if _, ok := m.Peek(3); !ok {
-		t.Error("key 3 should be cached")
-	}
-	get(1) // recomputes
+	get(1) // evicted: recomputes
 	if c := computes.Load(); c != 4 {
 		t.Errorf("computed %d times, want 4 (1, 2, 3, then 1 again)", c)
 	}
@@ -189,21 +216,43 @@ func TestMemoPurge(t *testing.T) {
 	}
 }
 
-func TestMemoPeekIgnoresInFlight(t *testing.T) {
-	var m Memo[string, int]
+// TestMemoPanicDoesNotPoisonKey: a compute that panics caches
+// nothing.  The panic reaches its caller, a Get that was waiting on
+// it computes afresh instead of returning the zero value, and later
+// Gets for the key see the recomputed value.
+func TestMemoPanicDoesNotPoisonKey(t *testing.T) {
+	var m Memo[int, *int]
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go m.Get("k", func() int { close(started); <-release; return 7 })
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		m.Get(1, func() *int { close(started); <-release; panic("compute failed") })
+	}()
 	<-started
-	if _, ok := m.Peek("k"); ok {
-		t.Error("Peek returned an in-flight computation")
-	}
+	waiter := make(chan *int, 1)
+	go func() { waiter <- m.Get(1, func() *int { v := 7; return &v }) }()
 	close(release)
-	if got := m.Get("k", func() int { return 0 }); got != 7 {
-		t.Errorf("Get after release = %d, want 7", got)
+	if r := <-recovered; r != "compute failed" {
+		t.Errorf("recovered %v, want the compute's panic", r)
 	}
-	if v, ok := m.Peek("k"); !ok || v != 7 {
-		t.Errorf("Peek after completion = %d, %v", v, ok)
+	if v := <-waiter; v == nil || *v != 7 {
+		t.Errorf("Get racing a panicked compute = %v, want 7", v)
+	}
+	if v := m.Get(1, func() *int { v := 9; return &v }); v == nil || *v != 7 {
+		t.Errorf("Get after the recompute = %v, want the cached 7", v)
+	}
+	if n := m.Len(); n != 1 {
+		t.Errorf("Len = %d, want 1", n)
+	}
+
+	// With no concurrent waiter: the panicked key simply recomputes.
+	func() {
+		defer func() { recover() }()
+		m.Get(2, func() *int { panic("compute failed") })
+	}()
+	if v := m.Get(2, func() *int { v := 8; return &v }); v == nil || *v != 8 {
+		t.Errorf("Get after a panicked compute = %v, want 8", v)
 	}
 }
 
@@ -289,7 +338,7 @@ func TestMapProgressPanicSkipsFinalCall(t *testing.T) {
 					t.Errorf("workers=%d: recovered %v, want unit 2's panic", workers, r)
 				}
 			}()
-			MapProgress(workers, 6, func(i int) int {
+			mapAll(t, workers, 6, func(i int) int {
 				if i == 2 {
 					panic("unit 2 failed")
 				}
@@ -299,7 +348,7 @@ func TestMapProgressPanicSkipsFinalCall(t *testing.T) {
 					sawFull.Store(true)
 				}
 			})
-			t.Errorf("workers=%d: MapProgress returned instead of panicking", workers)
+			t.Errorf("workers=%d: RunAll returned instead of panicking", workers)
 		}()
 		if sawFull.Load() {
 			t.Errorf("workers=%d: progress reported done == total despite a panicked unit", workers)
@@ -308,10 +357,7 @@ func TestMapProgressPanicSkipsFinalCall(t *testing.T) {
 }
 
 func TestRunAllMatchesLocalMap(t *testing.T) {
-	units := make([]int, 30)
-	for i := range units {
-		units[i] = i
-	}
+	units := indices(30)
 	r := Local[int, int]{Fn: func(u int) (int, error) { return u * u, nil }}
 	for _, workers := range []int{0, 1, 3} {
 		got, err := RunAll(context.Background(), workers, units, r, nil)
@@ -334,11 +380,7 @@ func TestRunAllPropagatesFirstError(t *testing.T) {
 		}
 		return u, nil
 	}}
-	units := make([]int, 10)
-	for i := range units {
-		units[i] = i
-	}
-	out, err := RunAll(context.Background(), 4, units, r, nil)
+	out, err := RunAll(context.Background(), 4, indices(10), r, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -374,6 +416,96 @@ func TestRunAllCancelsContextOnError(t *testing.T) {
 	}
 }
 
+// TestRunAllStopsDispatchAfterFirstError: once a unit fails, or ctx
+// ends, no further unit starts — the failing worker cancels the
+// ledger rather than leaving the rest of the units to run.
+func TestRunAllStopsDispatchAfterFirstError(t *testing.T) {
+	var ran atomic.Int32
+	_, err := RunAll(context.Background(), 1, indices(10),
+		Local[int, int]{Fn: func(u int) (int, error) {
+			ran.Add(1)
+			return 0, fmt.Errorf("unit %d failed", u)
+		}}, nil)
+	if err == nil {
+		t.Fatal("want the first unit's error")
+	}
+	if n := ran.Load(); n != 1 {
+		t.Errorf("%d units ran after the first failed, want exactly 1", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ran.Store(0)
+	_, err = RunAll(ctx, 1, indices(10),
+		runnerFunc[int, int](func(_ context.Context, u int) (int, error) {
+			ran.Add(1)
+			cancel() // the unit succeeds, but the run is over
+			return u, nil
+		}), nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Errorf("%d units ran after ctx was canceled, want exactly 1", n)
+	}
+
+	ran.Store(0)
+	if _, err := RunAll(ctx, 4, indices(10), runnerFunc[int, int](func(_ context.Context, u int) (int, error) {
+		ran.Add(1)
+		return u, nil
+	}), nil); !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+		t.Errorf("RunAll on a canceled ctx = %v after %d units, want context.Canceled and none", err, ran.Load())
+	}
+}
+
+// TestDrainStealsAndCompletes drives Drain on a ledger whose items
+// all sit in a peer's deque: the draining owner steals every one,
+// each lease is Completed exactly once, and the pool really is
+// min(workers, items) goroutines — all of them hold a lease at once.
+func TestDrainStealsAndCompletes(t *testing.T) {
+	for _, tc := range []struct{ workers, items, want int }{
+		{4, 4, 4},
+		{8, 3, 3},
+	} {
+		led := NewLedger[int]("peer")
+		led.Add("peer", indices(tc.items)...)
+		var inside, stolen atomic.Int32
+		all := make(chan struct{})
+		seen := make([]atomic.Int32, tc.items)
+		err := Drain(context.Background(), tc.workers, led, "self", func(_ context.Context, ls Lease[int]) error {
+			if ls.Stolen && ls.Owner == "peer" {
+				stolen.Add(1)
+			}
+			seen[ls.Item].Add(1)
+			if inside.Add(1) == int32(tc.want) {
+				close(all)
+			}
+			select {
+			case <-all:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("fewer workers than min(workers, items) ran concurrently")
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d items=%d: %v", tc.workers, tc.items, err)
+		}
+		if n := stolen.Load(); n != int32(tc.items) {
+			t.Errorf("workers=%d items=%d: %d leases stolen from peer, want all", tc.workers, tc.items, n)
+		}
+		for i := range seen {
+			if n := seen[i].Load(); n != 1 {
+				t.Errorf("item %d ran %d times, want once", i, n)
+			}
+		}
+		if n, p := led.Outstanding(), led.Pending("peer"); n != 0 || p != 0 {
+			t.Errorf("after Drain: Outstanding %d, Pending %d; want every lease Completed", n, p)
+		}
+		if _, ok := led.Lease("self"); ok {
+			t.Error("Lease succeeded on a drained ledger")
+		}
+	}
+}
+
 // runnerFunc adapts a function to the Runner interface for tests.
 type runnerFunc[U, R any] func(ctx context.Context, u U) (R, error)
 
@@ -402,103 +534,17 @@ func TestMemoKeysIndependent(t *testing.T) {
 	<-done
 }
 
-// TestMapWithOneStatePerWorker pins the pool shape satellite: MapWith
-// builds exactly min(workers, n) states — one per pool goroutine,
-// never one per unit — which is only possible if the pool starts a
-// bounded number of goroutines that each loop over units.
-func TestMapWithOneStatePerWorker(t *testing.T) {
-	for _, tc := range []struct{ workers, n, want int }{
-		{4, 100, 4},
-		{8, 3, 3},
-		{1, 50, 1},
-	} {
-		var states atomic.Int32
-		got := MapWith(tc.workers, tc.n, func() int {
-			return int(states.Add(1))
-		}, func(s, i int) int {
-			if s < 1 || s > tc.want {
-				t.Errorf("unit %d ran with state %d, want 1..%d", i, s, tc.want)
-			}
-			return i
-		})
-		if int(states.Load()) != tc.want {
-			t.Errorf("workers=%d n=%d: newState called %d times, want %d",
-				tc.workers, tc.n, states.Load(), tc.want)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("out[%d] = %d", i, v)
-			}
-		}
-	}
-}
-
-// mutableState is per-worker scratch that would race if two units
-// ever shared it concurrently: units mutate it without any
-// synchronization, so `go test -race` proves the isolation contract.
-type mutableState struct {
-	units int
-	sum   int
-}
-
-// TestMapWithStateIsolation runs many quick units over few workers
-// and checks, under the race detector, that per-worker state is never
-// mutated concurrently and that every unit ran on exactly one state.
-func TestMapWithStateIsolation(t *testing.T) {
-	const workers, n = 4, 400
-	var mu sync.Mutex
-	var states []*mutableState
-	MapWith(workers, n, func() *mutableState {
-		s := &mutableState{}
-		mu.Lock()
-		states = append(states, s)
-		mu.Unlock()
-		return s
-	}, func(s *mutableState, i int) int {
-		s.units++ // unsynchronized on purpose: -race enforces ownership
-		s.sum += i
-		return i
-	})
-	totalUnits, totalSum := 0, 0
-	for _, s := range states {
-		totalUnits += s.units
-		totalSum += s.sum
-	}
-	if totalUnits != n {
-		t.Errorf("states saw %d units, want %d", totalUnits, n)
-	}
-	if want := n * (n - 1) / 2; totalSum != want {
-		t.Errorf("states saw index sum %d, want %d", totalSum, want)
-	}
-}
-
-// TestMapWithPanicPropagates: MapWith shares the pool's panic
-// contract with Map.
-func TestMapWithPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("panic did not propagate")
-		}
-	}()
-	MapWith(4, 20, func() int { return 0 }, func(s, i int) int {
-		if i == 7 {
-			panic("unit 7")
-		}
-		return i
-	})
-}
-
 // TestStatsAccountsUnits: the pool's process-wide work accounting
 // must book every unit — started, completed, busy time — and its
 // gauges (queued, in-flight) must return to their pre-call level
-// even when a unit panics mid-pool.
+// even when a unit panics or fails mid-pool.
 func TestStatsAccountsUnits(t *testing.T) {
 	before := Stats()
 	const n = 24
-	Map(4, n, func(i int) int {
+	mapAll(t, 4, n, func(i int) int {
 		time.Sleep(100 * time.Microsecond)
 		return i
-	})
+	}, nil)
 	after := Stats()
 	if got := after.UnitsStarted - before.UnitsStarted; got != n {
 		t.Errorf("UnitsStarted delta = %d, want %d", got, n)
@@ -513,24 +559,28 @@ func TestStatsAccountsUnits(t *testing.T) {
 		t.Errorf("Pools delta = %d, want 1", after.Pools-before.Pools)
 	}
 
-	// Gauges return to baseline after a panicking pool too: the
-	// abandoned units drain from the queue on the way out.
+	// Gauges return to baseline after a panicking or failing pool
+	// too: the abandoned units drain from the queue on the way out.
+	// Engine tests do not run in parallel, so the deltas are exact.
 	func() {
 		defer func() { recover() }()
-		Map(2, 16, func(i int) int {
+		mapAll(t, 2, 16, func(i int) int {
 			if i == 3 {
 				panic("boom")
 			}
 			return i
-		})
+		}, nil)
 	}()
-	// In-flight/queued are global gauges shared with parallel tests,
-	// so assert deltas only when the process is otherwise quiet: the
-	// panicking pool must not leak its own bookkeeping.
+	RunAll(context.Background(), 2, indices(16), Local[int, int]{Fn: func(i int) (int, error) {
+		if i == 3 {
+			return 0, errors.New("boom")
+		}
+		return i, nil
+	}}, nil)
 	end := Stats()
-	if leaked := (end.Queued - before.Queued) + (end.InFlight - before.InFlight); leaked < 0 {
-		t.Errorf("gauges went negative relative to baseline: queued %d in-flight %d",
-			end.Queued, end.InFlight)
+	if end.Queued != before.Queued || end.InFlight != before.InFlight {
+		t.Errorf("gauges did not return to baseline: queued %d -> %d, in-flight %d -> %d",
+			before.Queued, end.Queued, before.InFlight, end.InFlight)
 	}
 	if end.UnitsCompleted > end.UnitsStarted {
 		t.Errorf("completed %d exceeds started %d", end.UnitsCompleted, end.UnitsStarted)

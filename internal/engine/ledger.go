@@ -11,9 +11,9 @@ import (
 // deque is empty steals from the back of the peer with the most
 // pending work — the slowest owner — so one degraded owner cannot
 // tail-block a run: its untouched share drains through everyone
-// else.  The coordinator (internal/coord) drives its fleet dispatch
-// loop on a Ledger; the type itself knows nothing about backends or
-// HTTP.
+// else.  Drain, the engine's local pool, runs on a Ledger, and the
+// coordinator (internal/coord) drives its fleet dispatch loop on one;
+// the type itself knows nothing about backends or HTTP.
 //
 // The leasing contract mirrors the engine's purity assumption: items
 // are independent and may be executed by any owner, so a lease that
@@ -32,9 +32,6 @@ type Ledger[T any] struct {
 	pending  map[string][]T
 	order    []string // owner scan order (registration order)
 	leased   int
-	total    int
-	complete int
-	steals   uint64
 	canceled bool
 }
 
@@ -48,7 +45,7 @@ type Lease[T any] struct {
 }
 
 // NewLedger returns an empty ledger with the given owners registered,
-// in scan order.  Further owners may be added with AddOwner.
+// in scan order.  Add registers further owners.
 func NewLedger[T any](owners ...string) *Ledger[T] {
 	l := &Ledger[T]{pending: make(map[string][]T)}
 	l.cond = sync.NewCond(&l.mu)
@@ -66,15 +63,6 @@ func (l *Ledger[T]) addOwnerLocked(owner string) {
 	l.order = append(l.order, owner)
 }
 
-// AddOwner registers an owner (idempotent).  Owners unknown to the
-// ledger may still call Lease — they just have nothing of their own
-// and always steal — so registration matters only for Add.
-func (l *Ledger[T]) AddOwner(owner string) {
-	l.mu.Lock()
-	l.addOwnerLocked(owner)
-	l.mu.Unlock()
-}
-
 // Add appends items to owner's pending deque, registering the owner
 // if needed, and wakes blocked leasers.
 func (l *Ledger[T]) Add(owner string, items ...T) {
@@ -84,7 +72,6 @@ func (l *Ledger[T]) Add(owner string, items ...T) {
 	l.mu.Lock()
 	l.addOwnerLocked(owner)
 	l.pending[owner] = append(l.pending[owner], items...)
-	l.total += len(items)
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
@@ -114,7 +101,6 @@ func (l *Ledger[T]) Lease(owner string) (Lease[T], bool) {
 			item := q[len(q)-1]
 			l.pending[victim] = q[:len(q)-1]
 			l.leased++
-			l.steals++
 			return Lease[T]{Item: item, Owner: victim, Stolen: true}, true
 		}
 		if l.leased == 0 {
@@ -145,7 +131,6 @@ func (l *Ledger[T]) victimLocked(owner string) string {
 func (l *Ledger[T]) Complete(Lease[T]) {
 	l.mu.Lock()
 	l.leased--
-	l.complete++
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
@@ -175,13 +160,6 @@ func (l *Ledger[T]) Cancel() {
 	l.cond.Broadcast()
 }
 
-// Drained reports whether every added item has been Completed.
-func (l *Ledger[T]) Drained() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.complete == l.total
-}
-
 // Outstanding returns the number of leases neither Completed nor
 // Released.
 func (l *Ledger[T]) Outstanding() int {
@@ -195,22 +173,4 @@ func (l *Ledger[T]) Pending(owner string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.pending[owner])
-}
-
-// PendingTotal returns the number of items waiting across all owners.
-func (l *Ledger[T]) PendingTotal() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, q := range l.pending {
-		n += len(q)
-	}
-	return n
-}
-
-// Steals returns how many leases were taken from a peer's deque.
-func (l *Ledger[T]) Steals() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.steals
 }

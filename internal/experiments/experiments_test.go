@@ -8,11 +8,11 @@ import (
 )
 
 // testStudy returns the shared quick-scale campaign for all tests in
-// the package.  core.CachedStudy runs it once even when parallel tests
-// ask for it concurrently.
+// the package.  core.DefaultStudyCache runs it once even when
+// parallel tests ask for it concurrently.
 func testStudy(t *testing.T) *core.Study {
 	t.Helper()
-	return core.CachedStudy(core.QuickScale(), 0)
+	return core.DefaultStudyCache.Get(core.QuickScale(), 0)
 }
 
 func TestTable1Rendering(t *testing.T) {

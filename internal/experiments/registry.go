@@ -185,18 +185,28 @@ func SweepTitle(kind string) string {
 	return ""
 }
 
+// CheckSweepKind reports an unknown sweep kind.  Every consumer — the
+// sweep runners, the CLI, the daemon and coordinator jobs — rejects a
+// kind through this one error, so they all fail identically.
+func CheckSweepKind(kind string) error {
+	if DefaultSweepValues(kind) == nil {
+		return fmt.Errorf("unknown sweep kind %q (valid kinds: %s)",
+			kind, strings.Join(SweepKinds(), ", "))
+	}
+	return nil
+}
+
 // RunSweepConfig executes a sweep on the local worker pool.  Results
 // are identical for every worker count.
 func RunSweepConfig(cfg SweepConfig, workers int) ([]SweepPoint, error) {
-	if DefaultSweepValues(cfg.Kind) == nil {
-		return nil, fmt.Errorf("unknown sweep kind %q (valid kinds: %s)",
-			cfg.Kind, strings.Join(SweepKinds(), ", "))
+	if err := CheckSweepKind(cfg.Kind); err != nil {
+		return nil, err
 	}
 	return engine.RunAll(context.Background(), workers, cfg.Units(), LocalSweepRunner(), nil)
 }
 
-// sweepMemo memoizes sweeps in-process, like core.CachedStudy does
-// campaigns.  Keyed by the canonical store key because SweepConfig
+// sweepMemo memoizes sweeps in-process, like core.StudyCache's memo
+// does campaigns.  Keyed by the canonical store key because SweepConfig
 // itself (a slice field) is not comparable.
 var sweepMemo = engine.Memo[string, []SweepPoint]{MaxEntries: 16}
 
@@ -206,9 +216,8 @@ var sweepMemo = engine.Memo[string, []SweepPoint]{MaxEntries: 16}
 // served the result.  Like the campaign cache, a store write failure
 // never fails the call — the computed points are still returned.
 func CachedSweep(s *store.Store, cfg SweepConfig, workers int) (pts []SweepPoint, hit bool, err error) {
-	if DefaultSweepValues(cfg.Kind) == nil {
-		// Reject unknown kinds before memoizing anything.
-		_, err := RunSweepConfig(cfg, 1)
+	// Reject unknown kinds before memoizing anything.
+	if err := CheckSweepKind(cfg.Kind); err != nil {
 		return nil, false, err
 	}
 	key, err := SweepKey(cfg)

@@ -9,7 +9,7 @@ import (
 )
 
 func registryStudy() *core.Study {
-	return core.CachedStudy(core.QuickScale(), 0)
+	return core.DefaultStudyCache.Get(core.QuickScale(), 0)
 }
 
 func TestRegistryCoversAllArtefacts(t *testing.T) {

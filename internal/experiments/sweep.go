@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/concentrix"
 	"repro/internal/core"
@@ -110,8 +109,7 @@ func RunSweepUnit(u SweepUnit) (SweepPoint, error) {
 		pt.Label = fmt.Sprintf("CEs=%d", n)
 		return pt, nil
 	}
-	return SweepPoint{}, fmt.Errorf("unknown sweep kind %q (valid kinds: %s)",
-		u.Kind, strings.Join(SweepKinds(), ", "))
+	return SweepPoint{}, CheckSweepKind(u.Kind)
 }
 
 // SweepRunner executes sweep-point units on the engine's pool.

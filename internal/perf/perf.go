@@ -126,41 +126,44 @@ func Parse(r io.Reader) (Set, error) {
 // parseText scans plain benchmark output lines.
 func parseText(text string) (Set, error) {
 	s := Set{Version: setVersion}
-	index := map[string]int{}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		res, ok := parseBenchLine(sc.Text())
-		if !ok {
-			continue
+		if res, ok := parseBenchLine(sc.Text()); ok {
+			s.Fold(res)
 		}
-		if i, seen := index[res.Name]; seen {
-			// Fold -count repeats: ns/op (with its B/op, allocs/op and
-			// iteration count) keeps the fastest run, and each custom
-			// metric independently keeps its maximum across repeats —
-			// the best observed value, mirroring fold-to-fastest.
-			// Taking the fastest run's metrics wholesale would instead
-			// record whichever repeat happened to win on ns/op: for a
-			// ratio metric like the study benchmark's speedup-x
-			// (measured against that repeat's own baseline) that is
-			// just noise, not the benchmark's demonstrated best.
-			prev := s.Results[i]
-			if res.NsPerOp < prev.NsPerOp {
-				merged := res
-				merged.Metrics = foldMetrics(res.Metrics, prev.Metrics)
-				s.Results[i] = merged
-			} else {
-				s.Results[i].Metrics = foldMetrics(prev.Metrics, res.Metrics)
-			}
-			continue
-		}
-		index[res.Name] = len(s.Results)
-		s.Results = append(s.Results, res)
 	}
 	if err := sc.Err(); err != nil {
 		return Set{}, fmt.Errorf("perf: scanning bench text: %w", err)
 	}
 	return s, nil
+}
+
+// Fold adds res to the set, folding it into a same-name result as a
+// repeat run — -count repeats in one bench stream, or the same
+// benchmark across several recorded runs.  ns/op (with its B/op,
+// allocs/op and iteration count) keeps the fastest run, and each
+// custom metric independently keeps its maximum across repeats — the
+// best observed value, mirroring fold-to-fastest.  Taking the fastest
+// run's metrics wholesale would instead record whichever repeat
+// happened to win on ns/op: for a ratio metric like the study
+// benchmark's speedup-x (measured against that repeat's own baseline)
+// that is just noise, not the benchmark's demonstrated best.
+func (s *Set) Fold(res Result) {
+	for i, prev := range s.Results {
+		if prev.Name != res.Name {
+			continue
+		}
+		if res.NsPerOp < prev.NsPerOp {
+			merged := res
+			merged.Metrics = foldMetrics(res.Metrics, prev.Metrics)
+			s.Results[i] = merged
+		} else {
+			s.Results[i].Metrics = foldMetrics(prev.Metrics, res.Metrics)
+		}
+		return
+	}
+	s.Results = append(s.Results, res)
 }
 
 // foldMetrics merges two repeats' custom metrics, keeping the

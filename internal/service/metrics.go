@@ -114,7 +114,7 @@ func (s *Server) registerProcess() {
 		"Cumulative worker time spent inside units.", nil,
 		func() float64 { return float64(engine.Stats().BusyNs) / 1e9 })
 	reg.CounterFunc("fx8d_engine_pools_total",
-		"Worker-pool invocations (one per RunAll/Map).", nil,
+		"Engine worker pools run (one per RunAll and per job's local drain).", nil,
 		func() float64 { return float64(engine.Stats().Pools) })
 
 	for _, tier := range []struct {

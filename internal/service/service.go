@@ -770,8 +770,8 @@ func (s *Server) handleRunSweep(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeUnit(w, r, &unit); err != nil {
 		return err
 	}
-	if experiments.DefaultSweepValues(unit.Kind) == nil {
-		return badRequest("unknown sweep kind %q", unit.Kind)
+	if err := experiments.CheckSweepKind(unit.Kind); err != nil {
+		return badRequest("%v", err)
 	}
 	res, err := store.GetOrComputeJSON(s.cache.Store(), coord.SweepUnitNamespace, unit, func() (experiments.SweepPoint, error) {
 		return experiments.RunSweepUnit(unit)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -225,6 +226,43 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		if n := strings.Count(text, "# TYPE "+fam+" "); n != 1 {
 			t.Errorf("%d TYPE lines for %s, want 1", n, fam)
 		}
+	}
+}
+
+// TestEngineMetricsCountJobUnits: a job the daemon's coordinator
+// computes in-process runs on the engine's pool, so
+// fx8d_engine_units_completed_total rises by the job's unit count.
+// Not parallel: the engine's counters are process-wide, and parallel
+// tests start only after every sequential one has finished.
+func TestEngineMetricsCountJobUnits(t *testing.T) {
+	srv := newTestServer(t, "")
+	completed := func() float64 {
+		t.Helper()
+		code, body := get(t, srv, "/v1/metrics?format=prometheus")
+		if code != http.StatusOK {
+			t.Fatalf("metrics = %d: %s", code, body)
+		}
+		v, ok := parseProm(t, string(body))["fx8d_engine_units_completed_total"]
+		if !ok {
+			t.Fatal("exposition missing fx8d_engine_units_completed_total")
+		}
+		return v
+	}
+	before := completed()
+	spec := cheapJobSpec(4)
+	code, _, body := postJSON(t, srv, coord.JobsPath, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d: %s", code, body)
+	}
+	var st coord.JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if final := awaitJobDone(t, srv, st.ID); final.State != coord.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	if got := completed() - before; got != float64(len(spec.Units)) {
+		t.Errorf("fx8d_engine_units_completed_total rose by %v, want the job's %d units", got, len(spec.Units))
 	}
 }
 
