@@ -6,14 +6,14 @@
 //
 // Usage:
 //
-//	benchdiff -parse [-o BENCH_x.json] [STREAM...] parse bench runs (stdin default)
+//	benchdiff -parse [-o BENCH_x.json] [FILE...]  parse bench runs (stdin default)
 //	benchdiff -print FILE...                      summarize result files
 //	benchdiff [-threshold 15%] [-allow-missing] OLD NEW
 //	                                              compare sets; exits 1 past threshold
 //
-// -parse folds a benchmark named in several STREAMs (repeated runs of
+// -parse folds a benchmark named in several FILEs (repeated runs of
 // one harness, say) the way -count repeats in one stream fold: the
-// fastest ns/op, and each custom metric's best value.
+// fastest ns/op, and each custom metric's maximum.
 //
 // OLD and NEW are files in any accepted form, or directories whose
 // BENCH_*.json files are matched by name.  A baseline that lacks a

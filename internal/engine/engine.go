@@ -51,9 +51,9 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // poolStats is the engine's process-wide instrumentation: every Drain
 // books units through these atomics, so the service's /v1/metrics
 // can report queue depth, in-flight units and worker busy time
-// without the engine knowing the service exists.  The cost
-// is a few atomic adds and two clock reads per unit — noise against
-// units that each simulate millions of machine cycles.
+// without the engine knowing the service exists.  The cost is a few
+// atomic adds and two clock reads per unit — noise against units that
+// each simulate millions of machine cycles.
 var poolStats struct {
 	started   atomic.Uint64
 	completed atomic.Uint64
@@ -359,8 +359,7 @@ func Drain[T any](ctx context.Context, workers int, led *Ledger[T], owner string
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
-		cancel()
-		led.Cancel()
+		cancel() // cancels led too, through the AfterFunc above
 	}
 	// run executes one leased item, settling its lease either way.
 	run := func(ls Lease[T]) {
