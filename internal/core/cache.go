@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -34,27 +36,68 @@ func EncodeStudy(st *Study) ([]byte, error) {
 // Study.
 //
 // The triggered sessions' raw buffers are most of a stored campaign's
-// bytes, so DecodeStudy parses them itself.  One pass over the
-// document (splitStudy) cuts out the Buffers value of each HighConc
-// and Transition session, decodes it with trace.ReadBuffers and writes
-// null in its place; only the remaining skeleton goes to encoding/json,
-// and the buffers are then attached to the sessions it decoded.  A
-// value the pass does not recognise — a malformed buffer, or any value
-// of a document it cannot walk or that names a session array twice —
-// stays in the skeleton for encoding/json to decode or reject.
+// bytes, so DecodeStudy parses them itself, on every core.  One pass
+// over the document (splitStudy) finds the Buffers value of each
+// HighConc and Transition session with trace.SkipBuffers, which
+// decodes no words, and writes null in its place.  The calling
+// goroutine then decodes the remaining skeleton with encoding/json
+// while up to GOMAXPROCS-1 others decode the cut values with
+// trace.ReadBuffers, one session at a time; the caller joins them once
+// the skeleton is done, and the buffers are attached to the sessions
+// it decoded.  A value the pass does not recognise — any value of a
+// document it cannot walk or that names a session array twice — stays
+// in the skeleton for encoding/json to decode or reject, and if a cut
+// value fails to decode, encoding/json decides on the whole document.
 func DecodeStudy(data []byte) (*Study, error) {
-	skeleton, found := splitStudy(data)
+	skeleton, cuts := splitStudy(data)
+	var next atomic.Int64
+	var failed atomic.Bool
+	decode := func() {
+		for !failed.Load() {
+			k := next.Add(1) - 1
+			if k >= int64(len(cuts)) {
+				return
+			}
+			c := &cuts[k]
+			bufs, n, err := trace.ReadBuffers(data[c.start:c.end])
+			if err != nil || n != c.end-c.start {
+				failed.Store(true)
+				return
+			}
+			c.bufs = bufs
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0)-1, len(cuts)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decode()
+		}()
+	}
 	st := new(Study)
-	if err := json.Unmarshal(skeleton, st); err != nil {
+	err := json.Unmarshal(skeleton, st)
+	decode()
+	wg.Wait()
+	if failed.Load() {
+		// A cut value is no []Buffer, so the document is not the
+		// skeleton plus buffers: encoding/json decodes it whole.
+		st, cuts = new(Study), nil
+		err = json.Unmarshal(data, st)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding study: %w", err)
 	}
-	for f, sessions := range [...][]*TriggeredSession{st.HighConc, st.Transition} {
-		for _, sb := range found[f] {
-			if sb.index >= len(sessions) || sessions[sb.index] == nil {
-				return nil, fmt.Errorf("core: decoding study: buffers of missing session %d", sb.index)
-			}
-			sessions[sb.index].Buffers = sb.bufs
+	// In document order, so a session's last Buffers key wins.
+	for _, c := range cuts {
+		sessions := st.HighConc
+		if c.field == fieldTransition {
+			sessions = st.Transition
 		}
+		if c.index >= len(sessions) || sessions[c.index] == nil {
+			return nil, fmt.Errorf("core: decoding study: buffers of missing session %d", c.index)
+		}
+		sessions[c.index].Buffers = c.bufs
 	}
 	return st, nil
 }
@@ -273,17 +316,13 @@ const (
 	fieldOther
 )
 
-// sessionBuffers are the buffers decoded for the session at index of
-// its field's array.
-type sessionBuffers struct {
-	index int
-	bufs  []trace.Buffer
-}
-
-// bufferCut is a Buffers value cut out of the document: bytes
-// [start, end).
+// bufferCut is the Buffers value of session index of field's array,
+// cut out of the document as bytes [start, end), and its buffers once
+// decoded.
 type bufferCut struct {
-	start, end int
+	field, index int
+	start, end   int
+	bufs         []trace.Buffer
 }
 
 // studySplitter walks a stored Study's JSON for splitStudy.  Its walk
@@ -292,32 +331,29 @@ type bufferCut struct {
 type studySplitter struct {
 	data  []byte
 	cuts  []bufferCut
-	found [2][]sessionBuffers
 	named [2]int // top-level keys naming HighConc and Transition
 }
 
 // splitStudy cuts the triggered sessions' Buffers values out of a
 // stored Study.  It returns the document with null written over every
-// cut value, and the decoded buffers of each HighConc and Transition
-// session whose last Buffers key was cut.
+// cut value, and the cuts in document order.
 //
-// The skeleton decodes through encoding/json as the document does but
-// for the cut values.  Each cut value is valid JSON that decodes
-// without error, so the skeleton is accepted exactly when the document
-// is, and null leaves the field nil for the attached buffers to
-// replace.  Keys match fields as encoding/json matches them, and the
-// last Buffers key of a session wins.  A document that names HighConc
-// or Transition twice is left whole: encoding/json merges the two
-// arrays element by element, so an index no longer identifies a
-// session.
-func splitStudy(data []byte) ([]byte, [2][]sessionBuffers) {
+// Once every cut value decodes as a []trace.Buffer, the skeleton
+// decodes through encoding/json as the document does but for the cut
+// values: each is valid JSON that decodes without error, so the
+// skeleton is accepted exactly when the document is, and null leaves
+// the field nil for the decoded buffers to replace.  Keys match fields
+// as encoding/json matches them.  A document that names HighConc or
+// Transition twice is left whole: encoding/json merges the two arrays
+// element by element, so an index no longer identifies a session.
+func splitStudy(data []byte) ([]byte, []bufferCut) {
 	s := studySplitter{data: data}
 	i := space(data, 0)
 	if i == len(data) || data[i] != '{' {
-		return data, s.found
+		return data, nil
 	}
 	if _, ok := s.walk(i, s.studyMember); !ok || s.named[fieldHighConc] > 1 || s.named[fieldTransition] > 1 {
-		return data, [2][]sessionBuffers{}
+		return data, nil
 	}
 	size := len(data)
 	for _, c := range s.cuts {
@@ -329,7 +365,7 @@ func splitStudy(data []byte) ([]byte, [2][]sessionBuffers) {
 		skeleton = append(append(skeleton, data[prev:c.start]...), "null"...)
 		prev = c.end
 	}
-	return append(skeleton, data[prev:]...), s.found
+	return append(skeleton, data[prev:]...), s.cuts
 }
 
 // studyMember walks one member of the Study object: the sessions of
@@ -352,28 +388,22 @@ func (s *studySplitter) studyMember(key []byte, _, v int) (int, bool) {
 }
 
 // session walks the session object at data[i], element n of field f's
-// array, cutting out each Buffers value the buffer grammar accepts.
+// array, cutting out each Buffers value whose arrays trace.SkipBuffers
+// can measure.
 func (s *studySplitter) session(f, n, i int) (int, bool) {
-	var last []trace.Buffer
-	cut := false
-	end, ok := s.walk(i, func(key []byte, _, v int) (int, bool) {
+	return s.walk(i, func(key []byte, _, v int) (int, bool) {
 		if keyField(key) != fieldBuffers {
 			return s.skip(v)
 		}
-		bufs, m, err := trace.ReadBuffers(s.data[v:])
+		m, err := trace.SkipBuffers(s.data[v:])
 		if err != nil {
 			// encoding/json rejects this value too, and with it
 			// the document.
 			return s.skip(v)
 		}
-		s.cuts = append(s.cuts, bufferCut{start: v, end: v + m})
-		last, cut = bufs, true
+		s.cuts = append(s.cuts, bufferCut{field: f, index: n, start: v, end: v + m})
 		return v + m, true
 	})
-	if ok && cut {
-		s.found[f] = append(s.found[f], sessionBuffers{index: n, bufs: last})
-	}
-	return end, ok
 }
 
 // walk walks the object or array at data[i], calling elem with each

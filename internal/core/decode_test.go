@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -58,6 +61,14 @@ func FuzzDecodeStudy(f *testing.F) {
 		`{"HighConc":[{"Buffers":[[1.0],[-1]]}]}`,
 		`{"HighConc":[{"Buffers":[[1,]]}]}`,
 		`{"HighConc":[{"Buffers":[[1]]x}]}`,
+		// Malformed buffers found only when the cut values decode,
+		// after the walk accepted the document.
+		`{"HighConc":[{"Buffers":[[1]]},{"Buffers":[[2,-3]]}]}`,
+		`{"HighConc":[{"Buffers":[[1,"]"]]}]}`,
+		`{"HighConc":[{"Buffers":[[1,"]"],[2]]}]}`,
+		`{"HighConc":[{"Buffers":[["]]}]}"]]}]}`,
+		`{"HighConc":[{"Buffers":[[1,2}]}`,
+		`{"HighConc":[{"Buffers":[[1],[2}]}`,
 		`{"HighConc":[{"Buffers":[[1]]}]`,
 		`{"HighConc":[{"Buffers":[[1]]}]}}`,
 		`{"HighConc":[1,{"Buffers":[[1]]}]}`,
@@ -84,4 +95,32 @@ func FuzzDecodeStudy(f *testing.F) {
 			t.Fatalf("%q: DecodeStudy's study encodes %.200s (%v), json.Unmarshal's %.200s (%v)", data, a, errA, b, errB)
 		}
 	})
+}
+
+// TestDecodeStudyEveryProcCount decodes the stored quick campaign with
+// one and with four Ps: however the buffer decoding spreads over
+// goroutines, the study re-encodes to the pinned bytes.
+func TestDecodeStudyEveryProcCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick campaign in -short mode")
+	}
+	enc, err := EncodeStudy(DefaultStudyCache.Get(QuickScale(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		st, err := DecodeStudy(enc)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		again, err := EncodeStudy(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(again)); got != quickStudySHA256 {
+			t.Errorf("GOMAXPROCS %d: decoded quick study re-encodes to sha256 %s, want %s", procs, got, quickStudySHA256)
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/engine"
@@ -220,6 +222,25 @@ func (cfg StudyConfig) Units() []StudyUnit {
 	return units
 }
 
+// cost estimates the machine cycles a unit simulates: a static
+// function of its spec that orders dispatch.  A random session runs
+// exactly its sampling span.  A triggered session records Samples x
+// Buffers buffers, each after a trigger wait its spec bounds but does
+// not fix; the estimate charges each mode's mean wait at paper scale,
+// about 1/8 of the budget for a transition trigger and 1/64 for
+// all-8, which fires as soon as every CE is busy.
+func (u StudyUnit) cost() uint64 {
+	if u.Random != nil {
+		return u.Random.span()
+	}
+	t := u.Triggered
+	wait := uint64(t.BudgetCycles) / 64
+	if t.Mode == monitor.TriggerTransition {
+		wait = uint64(t.BudgetCycles) / 8
+	}
+	return uint64(t.Samples) * uint64(t.Buffers) * (wait + monitor.BufferDepth)
+}
+
 // RunStudyUnit executes one session work unit in-process — the
 // compute path shared by the local runner and fx8d's serving side.
 func RunStudyUnit(u StudyUnit) (StudyUnitResult, error) {
@@ -244,14 +265,30 @@ func LocalStudyRunner() StudyRunner {
 // RunStudyRunner executes the full campaign on an arbitrary
 // StudyRunner and reduces unit results with AssembleStudy, so the
 // returned Study is byte-identical to local execution for every
-// worker count and unit scheduling.  progress follows the
-// engine.RunAll contract.
+// worker count and unit scheduling.  Units are dispatched in
+// decreasing cost and their results put back in Units() order.
+// progress follows the engine.RunAll contract.
 func RunStudyRunner(ctx context.Context, cfg StudyConfig, workers int, r StudyRunner, progress func(done, total int)) (*Study, error) {
-	// One pool covers all three groups, so stragglers in one group
-	// overlap work from the next.
-	results, err := engine.RunAll(ctx, workers, cfg.Units(), r, progress)
+	// One pool covers all three groups, dispatched longest first
+	// (Graham's LPT rule), so the short all-8 sessions fill the other
+	// workers' tail instead of one long session running on alone.
+	units := cfg.Units()
+	order := make([]int, len(units))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(units[b].cost(), units[a].cost()) })
+	dispatch := make([]StudyUnit, len(units))
+	for k, i := range order {
+		dispatch[k] = units[i]
+	}
+	done, err := engine.RunAll(ctx, workers, dispatch, r, progress)
 	if err != nil {
 		return nil, err
+	}
+	results := make([]StudyUnitResult, len(units))
+	for k, i := range order {
+		results[i] = done[k]
 	}
 	return AssembleStudy(cfg, results)
 }

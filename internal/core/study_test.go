@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -418,6 +421,67 @@ func TestStudyUnitsCanonicalOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stubRunner records the units it is handed, in dispatch order, and
+// answers each with an empty session carrying the unit's ID and mode.
+type stubRunner struct {
+	mu    sync.Mutex
+	units []StudyUnit
+}
+
+func (r *stubRunner) RunUnit(_ context.Context, u StudyUnit) (StudyUnitResult, error) {
+	r.mu.Lock()
+	r.units = append(r.units, u)
+	r.mu.Unlock()
+	if u.Random != nil {
+		return StudyUnitResult{Random: &Session{ID: u.ID}}, nil
+	}
+	return StudyUnitResult{Triggered: &TriggeredSession{ID: u.ID, Mode: u.Triggered.Mode}}, nil
+}
+
+// TestRunStudyRunnerDispatchesLongestFirst: at paper scale the
+// campaign's units are dispatched random, then transition, then all-8
+// sessions (decreasing static cost, each group in Units() order), and
+// AssembleStudy still sees every result in Units() order.
+func TestRunStudyRunnerDispatchesLongestFirst(t *testing.T) {
+	cfg := PaperScale()
+	r := &stubRunner{}
+	st, err := RunStudyRunner(context.Background(), cfg, 1, r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := cfg.Units()
+	nR, nH := cfg.RandomSessions, cfg.HighConcSessions
+	want := slices.Concat(units[:nR], units[nR+nH:], units[nR:nR+nH])
+	if !reflect.DeepEqual(r.units, want) {
+		t.Errorf("dispatch order:\n got %s\nwant %s", unitNames(r.units), unitNames(want))
+	}
+	for i, s := range st.Random {
+		if s.ID != i+1 {
+			t.Errorf("Random[%d] is session %d", i, s.ID)
+		}
+	}
+	for name, group := range map[monitor.TriggerMode][]*TriggeredSession{monitor.TriggerAll8: st.HighConc, monitor.TriggerTransition: st.Transition} {
+		for i, s := range group {
+			if s.ID != i+1 || s.Mode != name {
+				t.Errorf("%v session %d is %v session %d", name, i+1, s.Mode, s.ID)
+			}
+		}
+	}
+}
+
+// unitNames renders units as kind/ID for failure messages.
+func unitNames(units []StudyUnit) string {
+	var b strings.Builder
+	for _, u := range units {
+		kind := "random"
+		if u.Triggered != nil {
+			kind = u.Triggered.Mode.String()
+		}
+		fmt.Fprintf(&b, " %s/%d", kind, u.ID)
+	}
+	return b.String()
 }
 
 // TestRunStudyUnitRejectsEmptyUnit: a unit with no spec is a protocol

@@ -143,10 +143,11 @@ func parseText(text string) (Set, error) {
 // repeat run — -count repeats in one bench stream, or the same
 // benchmark across several recorded runs.  ns/op (with its B/op,
 // allocs/op and iteration count) keeps the fastest run, and each
-// custom metric independently keeps its maximum across repeats — the
-// best observed value, mirroring fold-to-fastest.  Taking the fastest
-// run's metrics wholesale would instead record whichever repeat
-// happened to win on ns/op: for a ratio metric like the study
+// custom metric independently keeps its best value across repeats:
+// the minimum of a lower-is-better unit (see lowerIsBetter), the
+// maximum of any other — mirroring fold-to-fastest.  Taking the
+// fastest run's metrics wholesale would instead record whichever
+// repeat happened to win on ns/op: for a ratio metric like the study
 // benchmark's speedup-x (measured against that repeat's own baseline)
 // that is just noise, not the benchmark's demonstrated best.
 func (s *Set) Fold(res Result) {
@@ -166,9 +167,9 @@ func (s *Set) Fold(res Result) {
 	s.Results = append(s.Results, res)
 }
 
-// foldMetrics merges two repeats' custom metrics, keeping the
-// maximum of each unit (missing units pass through).  base may be
-// mutated and returned.
+// foldMetrics merges two repeats' custom metrics, keeping the best of
+// each unit (missing units pass through).  base may be mutated and
+// returned.
 func foldMetrics(base, other map[string]float64) map[string]float64 {
 	if len(other) == 0 {
 		return base
@@ -177,11 +178,24 @@ func foldMetrics(base, other map[string]float64) map[string]float64 {
 		base = make(map[string]float64, len(other))
 	}
 	for u, v := range other {
-		if cur, ok := base[u]; !ok || v > cur {
+		cur, ok := base[u]
+		if !ok || lowerIsBetter(u) && v < cur || !lowerIsBetter(u) && v > cur {
 			base[u] = v
 		}
 	}
 	return base
+}
+
+// lowerIsBetter reports whether a custom metric unit improves as it
+// falls: times (ns/cycle, p95-ms, p99-ms) and failures (err-rate,
+// shed-rate, server-shed).  Rates, ratios, speedups and counts of work
+// done improve as they rise.
+func lowerIsBetter(unit string) bool {
+	switch unit {
+	case "err-rate", "shed-rate", "server-shed":
+		return true
+	}
+	return strings.HasPrefix(unit, "ns/") || strings.HasSuffix(unit, "-ms")
 }
 
 // parseBenchLine parses one `BenchmarkName-8  <N>  <value> <unit>...`

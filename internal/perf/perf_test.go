@@ -228,6 +228,32 @@ PASS
 	}
 }
 
+// TestFoldKeepsBestOfEachMetric folds three recorded loadgen-style
+// runs: lower-is-better units (latency percentiles, error and shed
+// rates, ns/cycle) keep their minimum, the rest their maximum.
+func TestFoldKeepsBestOfEachMetric(t *testing.T) {
+	var s Set
+	for _, m := range []map[string]float64{
+		{"p95-ms": 0.39, "p99-ms": 0.80, "err-rate": 0.02, "shed-rate": 0.10, "server-shed": 4, "ns/cycle": 140, "rps": 900, "saturation-rps": 1200, "server-hit-rate": 0.90, "speedup-x": 1.8},
+		{"p95-ms": 0.37, "p99-ms": 0.95, "err-rate": 0.00, "shed-rate": 0.30, "server-shed": 1, "ns/cycle": 150, "rps": 950, "saturation-rps": 1100, "server-hit-rate": 0.95, "speedup-x": 1.6},
+		{"p95-ms": 0.42, "p99-ms": 0.70, "err-rate": 0.01, "shed-rate": 0.05, "server-shed": 9, "ns/cycle": 130, "rps": 870, "saturation-rps": 1300, "server-hit-rate": 0.85, "speedup-x": 1.9},
+	} {
+		s.Fold(Result{Name: "LoadSteadyArtefacts", Iterations: 1, NsPerOp: 1e5, Metrics: m})
+	}
+	want := map[string]float64{
+		"p95-ms": 0.37, "p99-ms": 0.70, "err-rate": 0.00, "shed-rate": 0.05, "server-shed": 1, "ns/cycle": 130,
+		"rps": 950, "saturation-rps": 1300, "server-hit-rate": 0.95, "speedup-x": 1.9,
+	}
+	if len(s.Results) != 1 {
+		t.Fatalf("results = %d, want 1 (folded)", len(s.Results))
+	}
+	for unit, v := range want {
+		if got := s.Results[0].Metrics[unit]; got != v {
+			t.Errorf("folded %s = %v, want %v", unit, got, v)
+		}
+	}
+}
+
 func TestParseReportsOverlongLine(t *testing.T) {
 	// A single line longer than the 1 MiB scanner buffer must be a
 	// parse error, not a silently truncated set.

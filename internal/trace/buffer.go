@@ -18,10 +18,13 @@ import (
 // UnmarshalJSON, which encoding/json calls for a buffer inside any
 // document, and ReadBuffers, which core.DecodeStudy calls on a stored
 // campaign's Buffers values without handing them to encoding/json at
-// all.  Unit results (core.StudyUnitResult, one session each) still
-// decode through UnmarshalJSON inside encoding/json: each is small,
-// and the fleet replays them on its timed path, where replay speed
-// shifts what the fleet benchmark's status reads sample (see below).
+// all.  SkipBuffers finds where such a value ends without decoding its
+// words, so DecodeStudy can cut the values out of a document in one
+// quick pass and decode them on several goroutines.  Unit results
+// (core.StudyUnitResult, one session each) still decode through
+// UnmarshalJSON inside encoding/json: each is small, and the fleet
+// replays them on its timed path, where replay speed shifts what the
+// fleet benchmark's status reads sample (see below).
 //
 // Encoding stays per record: Buffer has no MarshalJSON, so
 // Record.MarshalJSON alone defines the stored bytes and the pinned
@@ -58,30 +61,57 @@ func ReadBuffers(data []byte) ([]Buffer, int, error) {
 	if bytes.HasPrefix(data, null) {
 		return nil, len(null), nil
 	}
+	bufs := []Buffer{}
+	n, err := eachBuffer(data, func(i int) (int, error) {
+		buf, end, err := readBuffer(data, i)
+		bufs = append(bufs, buf)
+		return end, err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return bufs, n, nil
+}
+
+// SkipBuffers returns the length of the []Buffer value that starts at
+// data[0], as ReadBuffers would find it, without decoding its words:
+// it scans each buffer with one search for its closing bracket.  It
+// fails wherever ReadBuffers fails on the arrays' structure, but
+// checks no words, so ReadBuffers may still reject a value that
+// SkipBuffers measured.
+func SkipBuffers(data []byte) (int, error) {
+	if bytes.HasPrefix(data, null) {
+		return len(null), nil
+	}
+	return eachBuffer(data, func(i int) (int, error) { return bufferEnd(data, i) })
+}
+
+// eachBuffer walks the JSON array of buffers that starts at data[0],
+// calling elem with the offset of each buffer; elem returns the offset
+// just past it.  eachBuffer returns the length of the array.
+func eachBuffer(data []byte, elem func(i int) (int, error)) (int, error) {
 	if len(data) == 0 || data[0] != '[' {
-		return nil, 0, errors.New("trace: decoding buffers: not a JSON array")
+		return 0, errors.New("trace: decoding buffers: not a JSON array")
 	}
 	i := skipSpace(data, 1)
 	if i < len(data) && data[i] == ']' {
-		return []Buffer{}, i + 1, nil
+		return i + 1, nil
 	}
-	var bufs []Buffer
 	for {
-		buf, n, err := readBuffer(data, i)
+		n, err := elem(i)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		bufs = append(bufs, buf)
 		if i = skipSpace(data, n); i == len(data) {
-			return nil, 0, errors.New("trace: decoding buffers: unterminated array")
+			return 0, errors.New("trace: decoding buffers: unterminated array")
 		}
 		switch data[i] {
 		case ']':
-			return bufs, i + 1, nil
+			return i + 1, nil
 		case ',':
 			i = skipSpace(data, i+1)
 		default:
-			return nil, 0, fmt.Errorf("trace: decoding buffers: byte %d: expected ',' or ']'", i+1)
+			return 0, fmt.Errorf("trace: decoding buffers: byte %d: expected ',' or ']'", i+1)
 		}
 	}
 }
@@ -93,24 +123,35 @@ var null = []byte("null")
 // after it overflows.
 const maxWord = "18446744073709551615"
 
-// readBuffer decodes the buffer that starts at data[i] — null, or an
-// array of packed signal words — and returns it with the offset just
-// past it.  The array's slice is sized once, by counting commas.
-func readBuffer(data []byte, i int) (Buffer, int, error) {
+// bufferEnd returns the offset just past the buffer that starts at
+// data[i]: null, or an array of packed signal words, which holds no
+// bracket.
+func bufferEnd(data []byte, i int) (int, error) {
 	if bytes.HasPrefix(data[i:], null) {
-		return nil, i + len(null), nil
+		return i + len(null), nil
 	}
 	if i == len(data) || data[i] != '[' {
-		return nil, 0, errors.New("trace: decoding packed buffer: not a JSON array")
+		return 0, errors.New("trace: decoding packed buffer: not a JSON array")
 	}
 	end := bytes.IndexByte(data[i:], ']')
 	if end < 0 {
-		return nil, 0, errors.New("trace: decoding packed buffer: unterminated array")
+		return 0, errors.New("trace: decoding packed buffer: unterminated array")
 	}
-	body := data[i+1 : i+end]
+	return i + end + 1, nil
+}
+
+// readBuffer decodes the buffer that starts at data[i] and returns it
+// with the offset just past it.  The array's slice is sized once, by
+// counting commas.
+func readBuffer(data []byte, i int) (Buffer, int, error) {
+	end, err := bufferEnd(data, i)
+	if err != nil || data[i] == 'n' { // null
+		return nil, end, err
+	}
+	body := data[i+1 : end-1]
 	j := skipSpace(body, 0)
 	if j == len(body) {
-		return Buffer{}, i + end + 1, nil
+		return Buffer{}, end, nil
 	}
 	// Every element after the first follows a comma, so the count of
 	// commas bounds the elements.
@@ -147,7 +188,7 @@ func readBuffer(data []byte, i int) (Buffer, int, error) {
 		out[n] = Unpack(w)
 		n++
 		if j = skipSpace(body, j); j == len(body) {
-			return out[:n], i + end + 1, nil
+			return out[:n], end, nil
 		}
 		if body[j] != ',' {
 			return nil, 0, bufferError(j, "expected ',' or ']'")

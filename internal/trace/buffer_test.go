@@ -105,3 +105,32 @@ func TestBufferNestedDecode(t *testing.T) {
 		t.Error("negative packed record decoded")
 	}
 }
+
+// TestSkipBuffersMatchesReadBuffers: wherever ReadBuffers decodes a
+// []Buffer value, SkipBuffers measures the same length, and wherever
+// the arrays' structure is malformed both fail.  Malformed words pass
+// SkipBuffers, which decodes none of them.
+func TestSkipBuffersMatchesReadBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		in         string
+		structural bool // SkipBuffers must fail too
+	}{
+		{in: "null"}, {in: "null,"}, {in: "[]"}, {in: "[ ]x"}, {in: "[null]"}, {in: "[[]]"},
+		{in: "[ [1 , 2] ,null, [ ] ] ,\"x\":1"}, {in: "[[18446744073709551615,0]]"},
+		{in: "[[1],[-1]]"}, {in: "[[01]]"}, {in: "[[1,]]"}, {in: "[[1 2]]"}, {in: `[[1,"2"]]`},
+		{in: `[[1,"]"]]`, structural: true}, {in: "[[1]", structural: true}, {in: "[[1],", structural: true},
+		{in: "[[1", structural: true}, {in: "[1]", structural: true}, {in: "[[1]x]", structural: true},
+		{in: "", structural: true}, {in: "nul", structural: true}, {in: "{}", structural: true},
+	} {
+		bufs, n, err := ReadBuffers([]byte(tc.in))
+		m, skipErr := SkipBuffers([]byte(tc.in))
+		switch {
+		case err == nil && (skipErr != nil || m != n):
+			t.Errorf("%q: ReadBuffers read %d bytes (%d buffers), SkipBuffers %d (%v)", tc.in, n, len(bufs), m, skipErr)
+		case tc.structural && (err == nil || skipErr == nil):
+			t.Errorf("%q: ReadBuffers error %v, SkipBuffers error %v; want both to fail", tc.in, err, skipErr)
+		case !tc.structural && skipErr != nil:
+			t.Errorf("%q: SkipBuffers error %v", tc.in, skipErr)
+		}
+	}
+}
