@@ -13,10 +13,16 @@ import (
 // updates it, with the reason in the commit.
 const paperStudySHA256 = "f48b628e400cd4ac191c0c7272a71c253ed963757419919977e3ee1140a766ec"
 
+// paperReportSHA256 is the sha256 of FullReport over that campaign
+// (63,790 bytes).  Only paper scale fills the band figures with 610
+// samples, so this pin guards the renderer where the quick-scale
+// artefact fingerprints see far fewer rows.
+const paperReportSHA256 = "8f90b7483cf55f067e33e5e8f7daf613b1ab0a6e9c1f3aec0c32beede5bafc7a"
+
 // TestPaperScaleHeadline is the calibration regression test: it runs
 // the full deterministic paper-scale campaign, pins its encoding to
-// paperStudySHA256 (also after a DecodeStudy round trip), and pins
-// the headline results to bands around the paper's values (Cw 0.35,
+// paperStudySHA256 (also after a DecodeStudy round trip) and its
+// report to paperReportSHA256, and pins the headline results to bands around the paper's values (Cw 0.35,
 // Pc 7.66, c_8|c 0.93, and the chapter 5 model fits).  Any change to the simulator, OS, workload generator
 // or methodology that moves the reproduction away from the paper
 // fails here.
@@ -49,7 +55,11 @@ func TestPaperScaleHeadline(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(again)); got != paperStudySHA256 {
 		t.Errorf("decoded paper study sha256 = %s, want %s", got, paperStudySHA256)
 	}
-	if FullReport(dec) != FullReport(st) {
+	report := FullReport(st)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(report))); got != paperReportSHA256 {
+		t.Errorf("paper report sha256 = %s (%d bytes), want %s", got, len(report), paperReportSHA256)
+	}
+	if FullReport(dec) != report {
 		t.Error("the decoded paper study renders a different report")
 	}
 
