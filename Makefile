@@ -75,7 +75,10 @@ bench:
 	$(call bench_layer,BENCH_concentrix.json,SystemStep|VMTouch,./internal/concentrix,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_monitor.json,CollectSample|DASObserve,./internal/monitor,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_core.json,RunRandomSession|RunTriggeredSession|DecodeStudy|EncodeStudy,./internal/core,-benchtime 10x -count 2)
-	$(call bench_layer,BENCH_experiments.json,SweepPoint,./internal/experiments,-benchtime 5x -count 2)
+	@# One report render is ~1 ms, so FullReport runs for BENCHTIME.
+	$(GO) test -json -run '^$$' -bench 'SweepPoint' -benchtime 5x -count 2 ./internal/experiments > .bench.tmp
+	$(GO) test -json -run '^$$' -bench 'FullReport' -benchtime $(BENCHTIME) -count 3 ./internal/experiments >> .bench.tmp
+	$(GO) run ./cmd/benchdiff -parse -o BENCH_experiments.json .bench.tmp
 	$(call bench_layer,BENCH_service.json,ServiceStudy|MetricsRecord,./internal/service,-benchtime 20x -count 2)
 	$(call bench_layer,BENCH_obs.json,HistogramObserve|PrometheusRender|MutexMapRecord|TracerRecord,./internal/obs,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_study.json,RunStudy,./internal/core,-benchtime 1x -count 3)

@@ -36,7 +36,7 @@ func (m SystemMeasure) String() string {
 }
 
 // Selector returns the Columns selector for the measure.
-func (m SystemMeasure) Selector() func(SampleMeasures) (float64, bool) {
+func (m SystemMeasure) Selector() func(*SampleMeasures) (float64, bool) {
 	switch m {
 	case MeasureMissRate:
 		return SelMissRate

@@ -61,8 +61,12 @@ func SplitByConcurrency(ms []SampleMeasures) (concurrent, serial []SampleMeasure
 // Columns extracts paired (x, y) vectors from samples for scatter and
 // regression analyses.  The x selector and y selector choose the
 // measures; samples where the x measure is undefined are skipped.
-func Columns(ms []SampleMeasures, x, y func(SampleMeasures) (float64, bool)) (xs, ys []float64) {
-	for _, m := range ms {
+// Selectors take a pointer, so no sample is copied.
+func Columns(ms []SampleMeasures, x, y func(*SampleMeasures) (float64, bool)) (xs, ys []float64) {
+	xs = make([]float64, 0, len(ms))
+	ys = make([]float64, 0, len(ms))
+	for i := range ms {
+		m := &ms[i]
 		xv, ok := x(m)
 		if !ok {
 			continue
@@ -80,17 +84,17 @@ func Columns(ms []SampleMeasures, x, y func(SampleMeasures) (float64, bool)) (xs
 // Selectors for Columns.
 
 // SelCw selects Workload Concurrency (always defined).
-func SelCw(m SampleMeasures) (float64, bool) { return m.Conc.Cw, true }
+func SelCw(m *SampleMeasures) (float64, bool) { return m.Conc.Cw, true }
 
 // SelPc selects Mean Concurrency Level (defined only for samples with
 // concurrency).
-func SelPc(m SampleMeasures) (float64, bool) { return m.Conc.Pc, m.Conc.Defined }
+func SelPc(m *SampleMeasures) (float64, bool) { return m.Conc.Pc, m.Conc.Defined }
 
 // SelMissRate selects the cache miss rate.
-func SelMissRate(m SampleMeasures) (float64, bool) { return m.MissRate, true }
+func SelMissRate(m *SampleMeasures) (float64, bool) { return m.MissRate, true }
 
 // SelBusBusy selects CE bus activity.
-func SelBusBusy(m SampleMeasures) (float64, bool) { return m.BusBusy, true }
+func SelBusBusy(m *SampleMeasures) (float64, bool) { return m.BusBusy, true }
 
 // SelPageFaultRate selects the page fault rate.
-func SelPageFaultRate(m SampleMeasures) (float64, bool) { return m.PageFaultRate, true }
+func SelPageFaultRate(m *SampleMeasures) (float64, bool) { return m.PageFaultRate, true }

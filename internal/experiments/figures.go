@@ -37,8 +37,7 @@ func Figure4(st *core.Study) string {
 // Figure5 charts the distribution of samples by Mean Concurrency
 // Level (samples with concurrency only).
 func Figure5(st *core.Study) string {
-	conc, _ := core.SplitByConcurrency(st.RandomSamples)
-	xs, _ := core.Columns(conc, core.SelPc, core.SelPc)
+	xs, _ := core.Columns(st.RandomSamples, core.SelPc, core.SelPc)
 	h := stats.NewHistogram(xs, 2, 8, 0.5)
 	return sas.Chart(h, sas.ChartOptions{
 		Title:          "Figure 5. Distribution of Samples by Mean Concurrency Level / All Sessions.",
@@ -86,7 +85,7 @@ func Figure7(st *core.Study) string {
 // scatterFigure renders a measure-vs-axis scatter over the chapter 5
 // sample population.
 func scatterFigure(st *core.Study, title string,
-	selX, selY func(core.SampleMeasures) (float64, bool),
+	selX, selY func(*core.SampleMeasures) (float64, bool),
 	xlabel, ylabel string, xmin, xmax float64) string {
 	xs, ys := core.Columns(st.AllSamples, selX, selY)
 	return sas.Scatter(xs, ys, sas.PlotOptions{
@@ -110,7 +109,7 @@ func Figure9(st *core.Study) string {
 // bandFigure renders the three banded distributions of a system
 // measure (Figures 10, 11, B.3, B.4, B.7, B.8).
 func bandFigure(st *core.Study, figure, measureName string,
-	selX, selY func(core.SampleMeasures) (float64, bool),
+	selX, selY func(*core.SampleMeasures) (float64, bool),
 	axis string, cuts [2]float64, lo, hi, step float64, format string) string {
 
 	xs, ys := core.Columns(st.AllSamples, selX, selY)

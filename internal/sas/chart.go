@@ -7,7 +7,9 @@ package sas
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 )
@@ -42,7 +44,10 @@ func Chart(h stats.Histogram, opt ChartOptions) string {
 	if opt.MidpointFormat == "" {
 		opt.MidpointFormat = "%g"
 	}
+	// A row: midpoint and "|" (13), the bar, four " %8" columns, "\n".
+	row := make([]byte, 0, 13+opt.Width+4*9+1)
 	var b strings.Builder
+	b.Grow(len(opt.Title) + 2 + (len(h.Bins)+1)*cap(row))
 	if opt.Title != "" {
 		fmt.Fprintf(&b, "%s\n\n", opt.Title)
 	}
@@ -55,15 +60,11 @@ func Chart(h stats.Histogram, opt ChartOptions) string {
 
 	maxFreq := h.MaxFreq()
 	bins := h.Bins
-	idx := make([]int, len(bins))
-	for i := range idx {
+	for k := range bins {
+		i := k
 		if opt.Descending {
-			idx[i] = len(bins) - 1 - i
-		} else {
-			idx[i] = i
+			i = len(bins) - 1 - k
 		}
-	}
-	for _, i := range idx {
 		bin := bins[i]
 		stars := 0
 		if maxFreq > 0 {
@@ -72,14 +73,16 @@ func Chart(h stats.Histogram, opt ChartOptions) string {
 		if bin.Freq > 0 && stars == 0 {
 			stars = 1
 		}
-		mid := fmt.Sprintf(opt.MidpointFormat, bin.Midpoint)
-		row := fmt.Sprintf("%-12s|%-*s", mid, opt.Width, strings.Repeat("*", stars))
+		row = fmt.Appendf(row[:0], opt.MidpointFormat, bin.Midpoint)
+		row = appendBar(padRight(row, 12), stars, opt.Width)
+		row = appendInt(append(row, ' '), bin.Freq, 8)
+		row = appendInt(append(row, ' '), bin.CumFreq, 8)
 		if opt.ShowPercent {
-			fmt.Fprintf(&b, "%s %8d %8d %8.2f %8.2f\n",
-				row, bin.Freq, bin.CumFreq, bin.Percent, bin.CumPercent)
-		} else {
-			fmt.Fprintf(&b, "%s %8d %8d\n", row, bin.Freq, bin.CumFreq)
+			row = appendFloat(append(row, ' '), bin.Percent, 'f', 2, 8)
+			row = appendFloat(append(row, ' '), bin.CumPercent, 'f', 2, 8)
 		}
+		row = append(row, '\n')
+		b.Write(row)
 	}
 	return b.String()
 }
@@ -100,6 +103,8 @@ func BarChart(title string, labels []string, counts []int, width int) string {
 			max = c
 		}
 	}
+	row := make([]byte, 0, 13+width+11+1) // label, "|", bar, " %10d", "\n"
+	b.Grow(len(counts) * cap(row))
 	for i, c := range counts {
 		stars := 0
 		if max > 0 {
@@ -108,11 +113,63 @@ func BarChart(title string, labels []string, counts []int, width int) string {
 		if c > 0 && stars == 0 {
 			stars = 1
 		}
-		label := ""
+		row = row[:0]
 		if i < len(labels) {
-			label = labels[i]
+			row = append(row, labels[i]...)
 		}
-		fmt.Fprintf(&b, "%-12s|%-*s %10d\n", label, width, strings.Repeat("*", stars), c)
+		row = appendBar(padRight(row, 12), stars, width)
+		row = appendInt(append(row, ' '), c, 10)
+		row = append(row, '\n')
+		b.Write(row)
 	}
 	return b.String()
+}
+
+// The row builders below write what fmt's verbs would, without fmt:
+// each chart row is built in one reused []byte.
+
+// padRight pads the text in b with spaces to w runes, as fmt's %-*s
+// does.
+func padRight(b []byte, w int) []byte {
+	for n := utf8.RuneCount(b); n < w; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// appendBar appends "|", then stars stars left-aligned in a field of
+// w: the %-*s bar of a chart row.
+func appendBar(b []byte, stars, w int) []byte {
+	b = append(b, '|')
+	for n := 0; n < max(stars, w); n++ {
+		c := byte(' ')
+		if n < stars {
+			c = '*'
+		}
+		b = append(b, c)
+	}
+	return b
+}
+
+// appendRight appends num right-aligned in a field of w bytes.  num
+// is ASCII, so bytes are runes.
+func appendRight(b, num []byte, w int) []byte {
+	for n := len(num); n < w; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, num...)
+}
+
+// appendInt appends v as "%*d" does.
+func appendInt(b []byte, v, w int) []byte {
+	var num [24]byte
+	return appendRight(b, strconv.AppendInt(num[:0], int64(v), 10), w)
+}
+
+// appendFloat appends v as "%*.*f" (format 'f') or "%*.*g" (format
+// 'g') does: without flags, fmt formats these verbs with this same
+// strconv call, +Inf's sign included.
+func appendFloat(b []byte, v float64, format byte, prec, w int) []byte {
+	var num [32]byte
+	return appendRight(b, strconv.AppendFloat(num[:0], v, format, prec, 64), w)
 }

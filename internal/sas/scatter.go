@@ -129,25 +129,28 @@ func render(cells []int, opt PlotOptions, xmin, xmax, ymin, ymax float64, legend
 		fmt.Fprintf(&b, "%s\n", opt.Title)
 	}
 	fmt.Fprintf(&b, "%s\n\n", legend)
+	row := make([]byte, 0, opt.Cols+13) // "%10.4g +", the cells, "\n"
+	b.Grow(opt.Rows * cap(row))
 	for r := 0; r < opt.Rows; r++ {
 		y := ymax - (ymax-ymin)*float64(r)/float64(opt.Rows-1)
-		fmt.Fprintf(&b, "%10.4g +", y)
+		row = append(appendFloat(row[:0], y, 'g', 4, 10), " +"...)
 		for c := 0; c < opt.Cols; c++ {
 			n := cells[r*opt.Cols+c]
 			switch {
 			case n == 0:
-				b.WriteByte(' ')
+				row = append(row, ' ')
 			case n == -1:
-				b.WriteByte('o')
+				row = append(row, 'o')
 			case n == -2:
-				b.WriteByte('*')
+				row = append(row, '*')
 			case n >= 26:
-				b.WriteByte('Z')
+				row = append(row, 'Z')
 			default:
-				b.WriteByte(byte('A' + n - 1))
+				row = append(row, byte('A'+n-1))
 			}
 		}
-		b.WriteByte('\n')
+		row = append(row, '\n')
+		b.Write(row)
 	}
 	fmt.Fprintf(&b, "%10s +%s\n", "", strings.Repeat("-", opt.Cols))
 	fmt.Fprintf(&b, "%10s  %-10.4g%*s%10.4g\n", "", xmin, opt.Cols-20, "", xmax)

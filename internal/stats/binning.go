@@ -64,31 +64,10 @@ func FitMedianModel(xs, ys []float64, lo, hi, step float64) (QuadModel, []Median
 	return m, pts, nil
 }
 
-// BandStats splits the paired observations into bands of x defined by
-// the cut points (band i is cuts[i-1] < x <= cuts[i], with implicit
-// -inf and +inf bounds) and summarizes y within each band.  This is
-// the banding used in Figures 10, 11, B.3, B.4, B.7 and B.8.
-func BandStats(xs, ys []float64, cuts []float64) []Summary {
-	bands := make([][]float64, len(cuts)+1)
-	for i := range xs {
-		k := 0
-		for k < len(cuts) && xs[i] > cuts[k] {
-			k++
-		}
-		bands[k] = append(bands[k], ys[i])
-	}
-	out := make([]Summary, len(bands))
-	for i, b := range bands {
-		s, err := Summarize(b)
-		if err == nil {
-			out[i] = s
-		}
-	}
-	return out
-}
-
-// BandValues splits the paired observations into bands of x as in
-// BandStats but returns the raw y vectors, for distribution charts.
+// BandValues splits the paired observations into bands of x defined
+// by the cut points (band i is cuts[i-1] < x <= cuts[i], with implicit
+// -inf and +inf bounds) and returns the y values of each band.  This
+// is the banding used in Figures 10, 11, B.3, B.4, B.7 and B.8.
 func BandValues(xs, ys []float64, cuts []float64) [][]float64 {
 	bands := make([][]float64, len(cuts)+1)
 	for i := range xs {

@@ -81,30 +81,11 @@ func TestFitMedianModelTooFewBins(t *testing.T) {
 	}
 }
 
-func TestBandStats(t *testing.T) {
-	xs := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	ys := []float64{1, 2, 3, 4, 5}
-	// Bands: x <= 0.4, 0.4 < x <= 0.8, x > 0.8 — the Figure 10 cuts.
-	bands := BandStats(xs, ys, []float64{0.4, 0.8})
-	if len(bands) != 3 {
-		t.Fatalf("bands = %d", len(bands))
-	}
-	if bands[0].N != 2 || !approx(bands[0].Median, 1.5, 1e-12) {
-		t.Errorf("band 0 = %+v", bands[0])
-	}
-	if bands[1].N != 2 || !approx(bands[1].Median, 3.5, 1e-12) {
-		t.Errorf("band 1 = %+v", bands[1])
-	}
-	if bands[2].N != 1 || bands[2].Median != 5 {
-		t.Errorf("band 2 = %+v", bands[2])
-	}
-}
-
-func TestBandStatsBoundaryInclusive(t *testing.T) {
+func TestBandValuesBoundaryInclusive(t *testing.T) {
 	// x exactly at a cut belongs to the lower band (<=).
-	bands := BandStats([]float64{0.4}, []float64{7}, []float64{0.4, 0.8})
-	if bands[0].N != 1 || bands[1].N != 0 {
-		t.Errorf("cut boundary should be inclusive on the left band: %+v", bands)
+	bands := BandValues([]float64{0.4, 0.8}, []float64{7, 8}, []float64{0.4, 0.8})
+	if len(bands) != 3 || len(bands[0]) != 1 || len(bands[1]) != 1 || len(bands[2]) != 0 {
+		t.Errorf("cut boundary should be inclusive on the left band: %v", bands)
 	}
 }
 
