@@ -59,7 +59,8 @@ chaos:
 #
 # BENCHTIME scales the micro-benchmark runs; session-, sweep- and
 # study-level benchmarks use fixed iteration counts because one op
-# already spans millions of simulated cycles.
+# already spans millions of simulated cycles.  A FullReport render
+# takes ~1 ms, so it runs for BENCHTIME in its own go test call.
 BENCHTIME ?= 0.2s
 
 # bench_layer runs one layer's benchmarks as test2json events and
@@ -75,7 +76,6 @@ bench:
 	$(call bench_layer,BENCH_concentrix.json,SystemStep|VMTouch,./internal/concentrix,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_monitor.json,CollectSample|DASObserve,./internal/monitor,-benchtime $(BENCHTIME) -count 3)
 	$(call bench_layer,BENCH_core.json,RunRandomSession|RunTriggeredSession|DecodeStudy|EncodeStudy,./internal/core,-benchtime 10x -count 2)
-	@# One report render is ~1 ms, so FullReport runs for BENCHTIME.
 	$(GO) test -json -run '^$$' -bench 'SweepPoint' -benchtime 5x -count 2 ./internal/experiments > .bench.tmp
 	$(GO) test -json -run '^$$' -bench 'FullReport' -benchtime $(BENCHTIME) -count 3 ./internal/experiments >> .bench.tmp
 	$(GO) run ./cmd/benchdiff -parse -o BENCH_experiments.json .bench.tmp

@@ -49,14 +49,12 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	var pos float64
+	pos := q * float64(len(s)-1)
 	switch {
 	case q <= 0:
 		pos = 0
 	case q >= 1:
 		pos = float64(len(s) - 1)
-	default:
-		pos = q * float64(len(s)-1)
 	}
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
