@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/coord"
 	"repro/internal/core"
@@ -339,5 +340,89 @@ func TestMetricsScrapeVsRecordRace(t *testing.T) {
 		if ep.Endpoint == "healthz" && ep.Requests < 200 {
 			t.Errorf("healthz requests = %d, want >= 200", ep.Requests)
 		}
+	}
+}
+
+// TestRetryMetricsWireShape pins the coordinator's retry outcomes on
+// the wire: the five fx8d_retry_* Prometheus series and the retry
+// block of the /v1/metrics JSON, field names included, agree with
+// each other and with the dispatch the job drove.  The one backend
+// fails every unit, so with MaxFailures 2 its worker tries twice,
+// backs off once under the default schedule (25–50ms before the
+// second attempt) and gives up; the local drain finishes the job.
+func TestRetryMetricsWireShape(t *testing.T) {
+	t.Parallel()
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"code":"internal","message":"backend on fire"}`, http.StatusInternalServerError)
+	}))
+	t.Cleanup(bad.Close)
+	reg := coord.NewRegistry()
+	reg.Register(bad.URL, time.Hour)
+	c := coord.New(coord.Config{Registry: reg, PerBackend: 1, MaxFailures: 2})
+	srv := New(Config{Cache: core.NewStudyCache(), Coordinator: c})
+	t.Cleanup(srv.Close)
+	t.Cleanup(c.Close)
+
+	code, _, body := postJSON(t, srv, coord.JobsPath, cheapJobSpec(1))
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d: %s", code, body)
+	}
+	var st coord.JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if final := awaitJobDone(t, srv, st.ID); final.State != coord.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+
+	code, body = get(t, srv, "/v1/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d: %s", code, body)
+	}
+	var resp struct {
+		Retry map[string]float64 `json:"retry"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	code, prom := get(t, srv, "/v1/metrics?format=prometheus")
+	if code != http.StatusOK {
+		t.Fatalf("prometheus metrics = %d: %s", code, prom)
+	}
+	samples := parseProm(t, string(prom))
+
+	rows := []struct {
+		field, series string
+		want          float64 // < 0: checked by range below
+	}{
+		{"attempts", "fx8d_retry_attempts_total", 2},
+		{"retries", "fx8d_retry_retries_total", 1},
+		{"give_ups", "fx8d_retry_giveups_total", 1},
+		{"backoff_waits", "fx8d_retry_backoff_waits_total", 1},
+		{"backoff_seconds", "fx8d_retry_backoff_seconds_total", -1},
+	}
+	if len(resp.Retry) != len(rows) {
+		t.Errorf("retry block = %v, want exactly %d fields", resp.Retry, len(rows))
+	}
+	for _, r := range rows {
+		js, ok := resp.Retry[r.field]
+		if !ok {
+			t.Errorf("retry block missing %q: %v", r.field, resp.Retry)
+			continue
+		}
+		pv, ok := samples[r.series]
+		if !ok {
+			t.Errorf("exposition missing %s", r.series)
+			continue
+		}
+		if pv != js {
+			t.Errorf("%s = %v, but JSON %s = %v", r.series, pv, r.field, js)
+		}
+		if r.want >= 0 && js != r.want {
+			t.Errorf("%s = %v, want %v", r.field, js, r.want)
+		}
+	}
+	if s := resp.Retry["backoff_seconds"]; s < 0.025 || s > 0.050 {
+		t.Errorf("backoff_seconds = %v, want one default first wait in [0.025, 0.050]", s)
 	}
 }
