@@ -1,16 +1,12 @@
 package coord
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/remote"
 )
 
 // Paths of the job-resource API, shared with internal/service so
@@ -30,73 +26,25 @@ type RegisterRequest struct {
 	TTLSeconds int `json:"ttl_seconds,omitempty"`
 }
 
-// doJSON issues one request and decodes the 200 response into out.
-func doJSON(ctx context.Context, httpc *http.Client, method, url string, body, out any) error {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var rd io.Reader
-	if body != nil {
-		payload, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("coord: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return fmt.Errorf("coord: %s: %w", url, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return fmt.Errorf("coord: %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("coord: %s: reading response: %w", url, err)
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		msg := strings.TrimSpace(string(data))
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return fmt.Errorf("coord: %s: %s: %s", url, resp.Status, msg)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("coord: %s: decoding response: %w", url, err)
-	}
-	return nil
-}
-
 // SubmitJob POSTs a job spec to a coordinator daemon and returns the
 // job's status (201 for a new job, 200 for a known one).
 func SubmitJob(ctx context.Context, httpc *http.Client, base string, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
-	err := doJSON(ctx, httpc, http.MethodPost, baseURL(base)+JobsPath, spec, &st)
+	err := remote.DoJSON(ctx, httpc, http.MethodPost, baseURL(base)+JobsPath, spec, &st)
 	return st, err
 }
 
 // FetchStatus GETs a job's status.
 func FetchStatus(ctx context.Context, httpc *http.Client, base, id string) (JobStatus, error) {
 	var st JobStatus
-	err := doJSON(ctx, httpc, http.MethodGet, baseURL(base)+JobsPath+"/"+id, nil, &st)
+	err := remote.DoJSON(ctx, httpc, http.MethodGet, baseURL(base)+JobsPath+"/"+id, nil, &st)
 	return st, err
 }
 
 // FetchResult GETs a done job's payload.
 func FetchResult(ctx context.Context, httpc *http.Client, base, id string) (JobResult, error) {
 	var res JobResult
-	err := doJSON(ctx, httpc, http.MethodGet, baseURL(base)+JobsPath+"/"+id+"/result", nil, &res)
+	err := remote.DoJSON(ctx, httpc, http.MethodGet, baseURL(base)+JobsPath+"/"+id+"/result", nil, &res)
 	return res, err
 }
 
@@ -148,7 +96,7 @@ func RegisterBackend(ctx context.Context, httpc *http.Client, base, addr string,
 		ttl = MaxTTL // the registry clamps to this anyway
 	}
 	req := RegisterRequest{Addr: addr, TTLSeconds: int(ttl / time.Second)} //fxlint:allow truncation — clamped to MaxTTL seconds
-	return doJSON(ctx, httpc, http.MethodPost, baseURL(base)+BackendsRegisterPath, req, nil)
+	return remote.DoJSON(ctx, httpc, http.MethodPost, baseURL(base)+BackendsRegisterPath, req, nil)
 }
 
 // HeartbeatLoop re-registers addr with the coordinator at every

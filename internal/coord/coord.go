@@ -20,7 +20,11 @@
 // heartbeats); per-backend workers lease units, POST them to their
 // backend, and — when their own deque runs dry — steal from the back
 // of the slowest peer's deque, so one degraded node cannot tail-block
-// a campaign.  A backend that keeps failing is abandoned and its
+// a campaign.  Between failed POSTs a worker backs off under
+// Config.Retry (RetryPolicy: capped exponential backoff with
+// deterministic jitter, or a shedding backend's Retry-After), the
+// schedule lease refreshes retry under too, with every outcome counted
+// in RetryStats.  A backend that keeps failing is abandoned and its
 // remaining units are stolen or drained locally; with no backends at
 // all the coordinator computes in-process.  In-process compute is
 // engine.Drain on the same ledger — the engine's one local pool, so
@@ -60,7 +64,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/remote"
-	"repro/internal/retry"
 	"repro/internal/store"
 )
 
@@ -125,14 +128,13 @@ type Config struct {
 	// remote.DefaultUnitTimeout.
 	UnitTimeout time.Duration
 
-	// Retry is the retry/backoff policy for dispatch failures and
-	// lease refreshes: a dispatch worker whose unit POST failed backs
-	// off under it before retrying (honoring a shedding backend's
-	// Retry-After), and lease refreshes that hit a briefly-unwritable
-	// store are retried under it instead of silently dropped.  The
-	// zero value means the retry package defaults; its Metrics field
-	// is resolved to the coordinator's own (see RetryStats).
-	Retry retry.Policy
+	// Retry is the backoff schedule for dispatch failures and lease
+	// refreshes: a dispatch worker whose unit POST failed backs off
+	// under it before retrying (waiting out a shedding backend's
+	// Retry-After instead), and lease refreshes that hit a
+	// briefly-unwritable store are retried under it instead of
+	// silently dropped.  Outcomes are counted in RetryStats.
+	Retry RetryPolicy
 
 	// HTTPClient overrides the dispatch transport (tests).
 	HTTPClient *http.Client
@@ -198,11 +200,9 @@ func statusFrom(rec JobRecord, steals uint64) JobStatus {
 // Coordinator runs and tracks campaign jobs.  All methods are safe
 // for concurrent use.
 type Coordinator struct {
-	cfg      Config
-	httpc    *http.Client
-	owner    string         // lease identity of this coordinator
-	retry    retry.Policy   // resolved dispatch/lease retry policy
-	rmetrics *retry.Metrics // retry outcome counters, see RetryStats
+	cfg   Config
+	httpc *http.Client
+	owner string // lease identity of this coordinator
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -213,6 +213,9 @@ type Coordinator struct {
 	jobs map[string]*job
 
 	computed, replayed, stolen, resumed atomic.Uint64
+
+	// Retry outcomes, see RetryStats.
+	attempts, retries, giveUps, backoffWaits, backoffNanos atomic.Uint64
 }
 
 // New returns a Coordinator.  Call ResumeInterrupted after New to
@@ -231,6 +234,18 @@ func New(cfg Config) *Coordinator {
 	if cfg.UnitTimeout <= 0 {
 		cfg.UnitTimeout = remote.DefaultUnitTimeout
 	}
+	if cfg.Retry.MaxAttempts == 0 {
+		cfg.Retry.MaxAttempts = DefaultMaxAttempts
+	}
+	if cfg.Retry.MaxAttempts < 1 {
+		cfg.Retry.MaxAttempts = 1
+	}
+	if cfg.Retry.BaseDelay <= 0 {
+		cfg.Retry.BaseDelay = DefaultBaseDelay
+	}
+	if cfg.Retry.MaxDelay <= 0 {
+		cfg.Retry.MaxDelay = DefaultMaxDelay
+	}
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry()
 	}
@@ -242,12 +257,6 @@ func New(cfg Config) *Coordinator {
 	}
 	if c.httpc == nil {
 		c.httpc = &http.Client{}
-	}
-	c.retry = cfg.Retry
-	c.rmetrics = c.retry.Metrics
-	if c.rmetrics == nil {
-		c.rmetrics = &retry.Metrics{}
-		c.retry.Metrics = c.rmetrics
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c
@@ -269,11 +278,17 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// RetryStats snapshots the coordinator's retry-policy outcomes —
-// dispatch retries, backoff waits, give-ups — which the service
-// surfaces in /v1/metrics.
-func (c *Coordinator) RetryStats() retry.Snapshot {
-	return c.rmetrics.Snapshot()
+// RetryStats snapshots the coordinator's retry outcomes — dispatch
+// retries, backoff waits, give-ups — which the service surfaces in
+// /v1/metrics.
+func (c *Coordinator) RetryStats() RetryStats {
+	return RetryStats{
+		Attempts:     c.attempts.Load(),
+		Retries:      c.retries.Load(),
+		GiveUps:      c.giveUps.Load(),
+		BackoffWaits: c.backoffWaits.Load(),
+		BackoffSecs:  float64(c.backoffNanos.Load()) / 1e9,
+	}
 }
 
 // Submit registers the job for spec and starts it if this coordinator
@@ -846,7 +861,7 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 						led.Release(ls)
 						return
 					}
-					c.rmetrics.Attempts.Inc()
+					c.attempts.Add(1)
 					u := units[ls.Item]
 					res, err := remote.PostUnit[U, R](ctx, c.httpc, url, u, c.cfg.UnitTimeout)
 					if err == nil {
@@ -864,22 +879,22 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 					// MaxFailures, which would amplify the overload into an
 					// outage.  A backend that keeps shedding is given up on
 					// only when the policy's attempt budget runs out.
-					hint, shed := retry.AfterHint(err)
+					hint, shed := remote.RetryAfter(err)
 					if shed {
 						sheds++
 					} else {
 						failures++
 					}
-					if ctx.Err() != nil || failures >= c.cfg.MaxFailures || sheds >= c.retry.Attempts() {
+					if ctx.Err() != nil || failures >= c.cfg.MaxFailures || sheds >= c.cfg.Retry.MaxAttempts {
 						// Abandon this backend: its remaining units are
 						// stolen by peers or drained locally below.
-						c.rmetrics.GiveUps.Inc()
+						c.giveUps.Add(1)
 						return
 					}
-					c.rmetrics.Retries.Inc()
-					if c.retry.Wait(idle, failures+sheds, hint) != nil {
+					c.retries.Add(1)
+					if c.backoff(idle, failures+sheds, hint) != nil {
 						if ctx.Err() != nil {
-							c.rmetrics.GiveUps.Inc()
+							c.giveUps.Add(1)
 						}
 						return
 					}
@@ -1042,8 +1057,8 @@ func (c *Coordinator) acquireLease(id string) (bool, error) {
 // job's context is canceled: in-flight units release their ledger
 // leases and the record is left resumable for the new owner, never
 // finalized by both sides.  Refresh failures inside the window are
-// retried under the coordinator's retry policy — a briefly-unwritable
-// store costs backoff waits, not the lease.
+// retried under cfg.Retry (refreshLease) — a briefly-unwritable store
+// costs backoff waits, not the lease.
 func (c *Coordinator) keepLease(ctx context.Context, j *job) (stop func()) {
 	if c.cfg.Store == nil {
 		return func() {}
@@ -1069,11 +1084,7 @@ func (c *Coordinator) keepLease(ctx context.Context, j *job) (stop func()) {
 					c.loseLease(j)
 					return
 				}
-				var next time.Time
-				err := c.retry.Do(ctx, func(context.Context) error {
-					next = time.Now().Add(c.cfg.LeaseTTL)
-					return store.PutJSON(c.cfg.Store, key, leaseRecord{Owner: c.owner, Expires: next})
-				})
+				next, err := c.refreshLease(ctx, key)
 				switch {
 				case err == nil:
 					deadline = next

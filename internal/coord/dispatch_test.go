@@ -155,30 +155,67 @@ func TestDispatchShardsAcrossBackends(t *testing.T) {
 
 // TestDispatchReroutesAroundFailingBackend: a backend that fails every
 // unit is abandoned after MaxFailures, and its share is stolen by the
-// healthy one.
+// healthy one.  Every failure but a 429 shed counts toward
+// MaxFailures and is retried on the same backend until then, an
+// invalid_config envelope included: no error code is treated as
+// permanent.
 func TestDispatchReroutesAroundFailingBackend(t *testing.T) {
 	t.Parallel()
-	var badHits atomic.Int64
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		badHits.Add(1)
-		http.Error(w, "backend on fire", http.StatusInternalServerError)
-	}))
-	t.Cleanup(bad.Close)
-	var servedGood atomic.Int64
-	good := unitBackend(t, &servedGood)
+	for _, tc := range []struct {
+		name   string
+		status int
+		body   string
+	}{
+		{"500", http.StatusInternalServerError, "backend on fire"},
+		{"400 invalid_config", http.StatusBadRequest, `{"code":"invalid_config","message":"cores out of range"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var badHits atomic.Int64
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				badHits.Add(1)
+				http.Error(w, tc.body, tc.status)
+			}))
+			t.Cleanup(bad.Close)
+			var servedGood atomic.Int64
+			good := unitBackend(t, &servedGood)
 
-	units := sessionUnits(8)
-	got := runSessions(t, coord.Config{Registry: fleet(bad, good), PerBackend: 1, MaxFailures: 2}, units)
-	if !bytes.Equal(got, sessionsJSON(t, units)) {
-		t.Error("sessions differ from local sessions")
-	}
-	// The good backend may steal everything while the failing one's
-	// worker backs off, so it sees at most MaxFailures requests.
-	if n := badHits.Load(); n < 1 || n > 2 {
-		t.Errorf("failing backend saw %d requests, want 1..MaxFailures=2", n)
-	}
-	if n := servedGood.Load(); n != int64(len(units)) {
-		t.Errorf("good backend served %d units, want all %d", n, len(units))
+			units := sessionUnits(8)
+			c := coord.New(coord.Config{Registry: fleet(bad, good), PerBackend: 1, MaxFailures: 2})
+			defer c.Close()
+			st, _, err := c.Submit(coord.JobSpec{Kind: "sessions", Units: units})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final := await(t, c, st.ID); final.State != coord.StateDone {
+				t.Fatalf("job ended %s: %s", final.State, final.Error)
+			}
+			res, err := c.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(res.Sessions)
+			if !bytes.Equal(got, sessionsJSON(t, units)) {
+				t.Error("sessions differ from local sessions")
+			}
+			// The good backend may steal everything while the failing
+			// one's worker backs off, so it sees at most MaxFailures
+			// requests.  Either way the first failure is retried on the
+			// same backend, and only a MaxFailures-th failure gives the
+			// backend up.
+			n := badHits.Load()
+			if n < 1 || n > 2 {
+				t.Errorf("failing backend saw %d requests, want 1..MaxFailures=2", n)
+			}
+			want := coord.RetryStats{Attempts: uint64(n) + uint64(len(units)), Retries: 1, GiveUps: uint64(n) - 1, BackoffWaits: 1}
+			if rs := c.RetryStats(); rs.Attempts != want.Attempts || rs.Retries != want.Retries ||
+				rs.GiveUps != want.GiveUps || rs.BackoffWaits != want.BackoffWaits {
+				t.Errorf("retry stats = %+v after %d failures, want %+v", rs, n, want)
+			}
+			if n := servedGood.Load(); n != int64(len(units)) {
+				t.Errorf("good backend served %d units, want all %d", n, len(units))
+			}
+		})
 	}
 }
 

@@ -70,18 +70,10 @@ func (r *Registry) Deregister(addr string) {
 // Snapshot returns the live member addresses, sorted, dropping lapsed
 // entries as a side effect.
 func (r *Registry) Snapshot() []string {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []string
-	for addr, deadline := range r.members {
-		if now.After(deadline) {
-			delete(r.members, addr)
-			continue
-		}
-		out = append(out, addr)
+	for _, m := range r.Entries() {
+		out = append(out, m.Addr)
 	}
-	sort.Strings(out)
 	return out
 }
 

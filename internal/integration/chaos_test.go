@@ -25,7 +25,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/monitor"
 	"repro/internal/remote"
-	"repro/internal/retry"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -213,7 +212,7 @@ func runNetStudy(t *testing.T, plan *chaos.Plan, units []core.StudyUnit) string 
 	return fleetUnits(t, coord.Config{
 		HTTPClient:  &http.Client{Transport: plan.Transport(nil)},
 		MaxFailures: 1 << 30,
-		Retry:       retry.Policy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Retry:       coord.RetryPolicy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	}, units, newChaosBackend(t), newChaosBackend(t))
 }
 
@@ -286,7 +285,7 @@ func runDiskJob(t *testing.T, plan *chaos.Plan, units []core.StudyUnit) (coord.J
 	}
 	c := coord.New(coord.Config{
 		Store: s, Workers: 2,
-		Retry: retry.Policy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Retry: coord.RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	})
 	t.Cleanup(c.Close)
 	spec := coord.JobSpec{Kind: "sessions", Units: units}
@@ -585,7 +584,7 @@ func TestChaosCombinedPlan(t *testing.T) {
 		HTTPClient: &http.Client{
 			Transport: plan.Transport(nil),
 		},
-		Retry: retry.Policy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Retry: coord.RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	})
 	t.Cleanup(c.Close)
 	spec := coord.JobSpec{Kind: "sessions", Units: units}

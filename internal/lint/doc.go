@@ -35,8 +35,8 @@
 //     and internal/perf import no repro packages; the simulator stack
 //     (fx8, concentrix, monitor, workload, fxasm) never depends on
 //     service/remote/store/engine/obs; core and experiments never
-//     depend on service/remote; remote, the unit transport, imports
-//     only obs and retry.  Checked transitively, and a
+//     depend on service/remote; remote, the HTTP transport, imports
+//     no repro package but obs.  Checked transitively, and a
 //     violation names the first offending edge and the shortest
 //     chain.  Replaces the CI grep that guarded only internal/obs.
 //

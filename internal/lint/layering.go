@@ -74,7 +74,6 @@ var LayerRules = []*LayerRule{
 			"repro/internal/engine",
 			"repro/internal/obs",
 			"repro/internal/coord",
-			"repro/internal/retry",
 			"repro/internal/chaos",
 		},
 		Why: "the simulator stack must stay a pure library: serving, distribution, persistence, telemetry and fault injection layer above it",
@@ -85,34 +84,15 @@ var LayerRules = []*LayerRule{
 			"repro/internal/service",
 			"repro/internal/remote",
 			"repro/internal/coord",
-			"repro/internal/retry",
 			"repro/internal/chaos",
 		},
-		Why: "the measurement/experiment layer is what the service serves; retry and chaos belong to the distribution layers above it",
-	},
-	{
-		Pkgs: []string{"repro/internal/retry"},
-		Deny: []string{
-			"repro/internal/service",
-			"repro/internal/remote",
-			"repro/internal/store",
-			"repro/internal/coord",
-			"repro/internal/core",
-			"repro/internal/experiments",
-			"repro/internal/engine",
-			"repro/internal/chaos",
-			"repro/internal/fx8",
-			"repro/internal/concentrix",
-			"repro/internal/monitor",
-			"repro/internal/workload",
-		},
-		Why: "retry is the one backoff policy remote and coord share; it must stay a near-leaf (fastrand + obs only) or the DAG cycles",
+		Why: "the measurement/experiment layer is what the service serves; dispatch and chaos belong to the distribution layers above it",
 	},
 	{
 		Pkgs:  []string{"repro/internal/remote"},
 		Deny:  []string{"repro/"},
-		Allow: []string{"repro/internal/obs", "repro/internal/retry", "repro/internal/fastrand"},
-		Why:   "remote is only the unit transport; scheduling belongs to coord, so remote needs nothing above obs and retry (and retry's fastrand) and importing core or experiments would invite a second dispatcher",
+		Allow: []string{"repro/internal/obs"},
+		Why:   "remote is only the HTTP transport; scheduling and retrying belong to coord, so remote needs nothing above obs and importing core or experiments would invite a second dispatcher",
 	},
 	{
 		Pkgs: []string{"repro/internal/chaos"},

@@ -3,10 +3,7 @@
 // must still catch and explain with the shortest chain.
 package fx8
 
-import (
-	"repro/internal/mid"   // want "repro/internal/fx8 must not depend on repro/internal/store"
-	"repro/internal/retry" // want "repro/internal/fx8 must not depend on repro/internal/retry"
-)
+import "repro/internal/mid" // want "repro/internal/fx8 must not depend on repro/internal/store"
 
-// Uses keeps the imports live.
-const Uses = mid.Via + retry.Uses
+// Uses keeps the import live.
+const Uses = mid.Via

@@ -1,14 +1,10 @@
-// Package obs mirrors the real telemetry substrate, which must stay
-// stdlib-only: any repro import is a violation.
+// Package obs mirrors the real telemetry substrate: stdlib-only, so
+// it is the one repro package the remote rule allows.
 package obs
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/deep" // want "repro/internal/obs must not depend on repro/internal/deep"
-)
-
-// Describe uses both imports.
+// Describe keeps the import live.
 func Describe() string {
-	return fmt.Sprint(deep.Marker)
+	return fmt.Sprint("obs")
 }

@@ -2,7 +2,9 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
+	"time"
 )
 
 // ErrorResponse is the service's unified error envelope: every
@@ -71,4 +73,24 @@ func errorBody(body []byte) string {
 		msg = msg[:200]
 	}
 	return msg
+}
+
+// shedError is DoJSON's error for a 429 shed: the backend's
+// advertised Retry-After rides with it.
+type shedError struct {
+	err   error
+	after time.Duration
+}
+
+func (e *shedError) Error() string { return e.err.Error() }
+func (e *shedError) Unwrap() error { return e.err }
+
+// RetryAfter reports whether err (or anything it wraps) is a 429 shed
+// and, if so, the Retry-After interval the backend advertised.
+func RetryAfter(err error) (time.Duration, bool) {
+	var se *shedError
+	if errors.As(err, &se) {
+		return se.after, true
+	}
+	return 0, false
 }

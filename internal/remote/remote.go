@@ -1,7 +1,8 @@
-// Package remote is the client side of fx8d's unit transport: the
-// paths of the unit-execution endpoints, PostUnit (one unit, one
-// backend, one attempt), the unified error envelope, and the
-// -backends flag parser.
+// Package remote is the client side of fx8d's HTTP API: the paths of
+// the unit-execution endpoints, DoJSON (one JSON request, one
+// attempt), PostUnit (one unit on one backend), the unified error
+// envelope, and the -backends flag parser.  The coordinator's job
+// client (coord.SubmitJob and friends) rides DoJSON too.
 //
 // Every unit is a pure function of its JSON-encoded description, so
 // a unit may run on any backend, or more than once, with an identical
@@ -18,15 +19,15 @@
 // # Errors
 //
 // Non-2xx responses from fx8d carry the unified ErrorResponse
-// envelope (code, message, request ID); PostUnit decodes it and
+// envelope (code, message, request ID); DoJSON decodes it and
 // surfaces "code: message" in its error strings, so callers and logs
 // can branch on the machine-readable code.  A 429 shed carries the
-// backend's Retry-After as a retry hint (retry.AfterHint).
+// backend's Retry-After, read back with RetryAfter.
 //
 // # Tracing
 //
 // When the driving context carries a request ID (obs.WithRequestID),
-// PostUnit forwards it in the X-Request-Id header, so each backend's
+// DoJSON forwards it in the X-Request-Id header, so each backend's
 // span log attributes the unit to one trace: GET /v1/trace/{id} on
 // the backends reconstructs where a job's time went.
 package remote
@@ -43,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // Paths of the fx8d unit-execution endpoints, shared with
@@ -58,59 +58,79 @@ const (
 const DefaultUnitTimeout = 10 * time.Minute
 
 // PostUnit executes one unit on one backend endpoint in a single
-// attempt: the unit is POSTed as JSON to url and the 200 response
-// body decoded as R.  No rerouting or fallback happens here: the
+// attempt: the unit is POSTed as JSON to url and the response body
+// decoded as R (DoJSON).  No rerouting or fallback happens here: the
 // caller schedules, as the coordinator's dispatch loop does when it
 // reroutes a failed unit by releasing its lease back to the ledger.
-// The driving context's request ID (obs.WithRequestID) is forwarded,
-// a non-200 response surfaces the error envelope's code in the error
-// string, and timeout <= 0 means DefaultUnitTimeout.
+// timeout <= 0 means DefaultUnitTimeout.
 func PostUnit[U, R any](ctx context.Context, httpc *http.Client, url string, unit U, timeout time.Duration) (R, error) {
-	var zero R
-	payload, err := json.Marshal(unit)
-	if err != nil {
-		return zero, fmt.Errorf("remote: encoding unit: %w", err)
-	}
 	if timeout <= 0 {
 		timeout = DefaultUnitTimeout
 	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var out R
+	if err := DoJSON(ctx, httpc, http.MethodPost, url, unit, &out); err != nil {
+		var zero R
+		return zero, err
+	}
+	return out, nil
+}
+
+// DoJSON issues one request to an fx8d endpoint: body, when non-nil,
+// is sent as JSON, and a 200 or 201 response is decoded into out
+// unless out is nil.  The driving context's request ID
+// (obs.WithRequestID) is forwarded.  Any other status is an error
+// quoting the envelope's "code: message"; a 429 shed also carries the
+// backend's Retry-After (see RetryAfter).
+func DoJSON(ctx context.Context, httpc *http.Client, method, url string, body, out any) error {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return zero, fmt.Errorf("remote: %s: %w", url, err)
+	var rd io.Reader
+	if body != nil {
+		payload, err := json.Marshal(body)
+		if err != nil {
+			return fmt.Errorf("remote: encoding request: %w", err)
+		}
+		rd = bytes.NewReader(payload)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return fmt.Errorf("remote: %s: %w", url, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if id := obs.RequestID(ctx); id != "" {
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
 	resp, err := httpc.Do(req)
 	if err != nil {
-		return zero, fmt.Errorf("remote: %s: %w", url, err)
+		return fmt.Errorf("remote: %s: %w", url, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return zero, fmt.Errorf("remote: %s: reading response: %w", url, err)
+		return fmt.Errorf("remote: %s: reading response: %w", url, err)
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// A shed: surface the advertised Retry-After as a hint so the
-		// caller's retry policy waits the server's interval instead of
-		// re-entering the queue it was just shed from.
-		err := fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(body))
-		return zero, retry.WithAfter(err, parseRetryAfter(resp.Header.Get("Retry-After")))
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
+		err := fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(data))
+		if resp.StatusCode == http.StatusTooManyRequests {
+			// A shed: the advertised Retry-After rides with the error so
+			// the caller waits the server's interval instead of
+			// re-entering the queue it was just shed from.
+			return &shedError{err: err, after: parseRetryAfter(resp.Header.Get("Retry-After"))}
+		}
+		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return zero, fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(body))
+	if out == nil {
+		return nil
 	}
-	var out R
-	if err := json.Unmarshal(body, &out); err != nil {
-		return zero, fmt.Errorf("remote: %s: decoding result: %w", url, err)
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("remote: %s: decoding response: %w", url, err)
 	}
-	return out, nil
+	return nil
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After header value;

@@ -7,12 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/retry"
 )
 
-// A 429 surfaces the backend's Retry-After as the error's retry
-// hint, so the caller's policy waits the advertised interval.
+// A 429 surfaces the backend's Retry-After through RetryAfter, so the
+// caller waits the advertised interval; other failures carry none.
 func TestPostUnitShedCarriesRetryAfter(t *testing.T) {
 	t.Parallel()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -24,8 +22,24 @@ func TestPostUnitShedCarriesRetryAfter(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), CodeShed) {
 		t.Fatalf("shed not surfaced: %v", err)
 	}
-	if hint, ok := retry.AfterHint(err); !ok || hint != 3*time.Second {
-		t.Errorf("retry hint = %v, %v; want 3s, true", hint, ok)
+	if hint, ok := RetryAfter(err); !ok || hint != 3*time.Second {
+		t.Errorf("RetryAfter = %v, %v; want 3s, true", hint, ok)
+	}
+
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3")
+		http.Error(w, `{"code":"internal","message":"backend on fire"}`, http.StatusInternalServerError)
+	}))
+	t.Cleanup(failing.Close)
+	_, err = PostUnit[echoUnit, echoResult](context.Background(), nil, failing.URL, echoUnit{X: 1}, 0)
+	if err == nil {
+		t.Fatal("PostUnit succeeded against a failing backend")
+	}
+	if hint, ok := RetryAfter(err); ok {
+		t.Errorf("RetryAfter on a 500 = %v, true; want no hint", hint)
+	}
+	if _, ok := RetryAfter(nil); ok {
+		t.Error("RetryAfter(nil) reported a shed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -207,6 +208,13 @@ func TestJobErrorEnvelope(t *testing.T) {
 	}
 	if env.Code != remote.CodeNotFound || env.RequestID != "trace-me-1" {
 		t.Errorf("envelope = %+v", env)
+	}
+	// The job client decodes the same envelope into its error.
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	if _, err := coord.FetchStatus(context.Background(), nil, ts.URL, "deadbeef"); err == nil ||
+		!strings.Contains(err.Error(), remote.CodeNotFound+": ") {
+		t.Errorf("FetchStatus of an unknown job: err = %v, want the envelope's %q", err, remote.CodeNotFound+": ")
 	}
 
 	// Invalid spec: invalid_config.

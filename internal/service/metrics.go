@@ -4,10 +4,10 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/retry"
 	"repro/internal/store"
 )
 
@@ -158,18 +158,18 @@ func (s *Server) registerProcess() {
 	if c := s.coord; c != nil {
 		for _, row := range []struct {
 			name, help string
-			fn         func(retry.Snapshot) float64
+			fn         func(coord.RetryStats) float64
 		}{
 			{"fx8d_retry_attempts_total", "Operation launches under the coordinator's retry policy.",
-				func(rs retry.Snapshot) float64 { return float64(rs.Attempts) }},
+				func(rs coord.RetryStats) float64 { return float64(rs.Attempts) }},
 			{"fx8d_retry_retries_total", "Relaunches after a retryable failure.",
-				func(rs retry.Snapshot) float64 { return float64(rs.Retries) }},
+				func(rs coord.RetryStats) float64 { return float64(rs.Retries) }},
 			{"fx8d_retry_giveups_total", "Operations abandoned after exhausting the retry policy.",
-				func(rs retry.Snapshot) float64 { return float64(rs.GiveUps) }},
+				func(rs coord.RetryStats) float64 { return float64(rs.GiveUps) }},
 			{"fx8d_retry_backoff_waits_total", "Backoff sleeps taken between retry attempts.",
-				func(rs retry.Snapshot) float64 { return float64(rs.BackoffWaits) }},
+				func(rs coord.RetryStats) float64 { return float64(rs.BackoffWaits) }},
 			{"fx8d_retry_backoff_seconds_total", "Cumulative time spent in backoff waits.",
-				func(rs retry.Snapshot) float64 { return rs.BackoffSecs }},
+				func(rs coord.RetryStats) float64 { return rs.BackoffSecs }},
 		} {
 			fn := row.fn
 			reg.CounterFunc(row.name, row.help, nil,
@@ -215,9 +215,9 @@ type MetricsResponse struct {
 	Store     *store.Stats      `json:"store,omitempty"`
 	Engine    EngineMetrics     `json:"engine"`
 
-	// Retry snapshots the coordinator's retry-policy outcomes —
-	// attempts, retries, give-ups, backoff waits (see internal/retry).
-	Retry *retry.Snapshot `json:"retry,omitempty"`
+	// Retry snapshots the coordinator's retry outcomes — attempts,
+	// retries, give-ups, backoff waits (see coord.RetryStats).
+	Retry *coord.RetryStats `json:"retry,omitempty"`
 }
 
 const msPerNs = 1e-6

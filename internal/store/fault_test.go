@@ -88,8 +88,8 @@ func TestPutWriteErrorLeavesNoTempFiles(t *testing.T) {
 	if stray := strayFiles(t, dir); len(stray) != 0 {
 		t.Fatalf("stray files after failed Put: %v", stray)
 	}
-	if n := s.Size(); n != 0 {
-		t.Fatalf("Size after failed Put = %d, want 0 (nothing may count against MaxBytes)", n)
+	if _, n := s.Disk(); n != 0 {
+		t.Fatalf("disk bytes after failed Put = %d, want 0 (nothing may count against MaxBytes)", n)
 	}
 	if s.Has("k1") {
 		t.Fatal("entry exists after failed Put")
@@ -111,8 +111,8 @@ func TestPutRenameErrorLeavesNoTempFiles(t *testing.T) {
 	if stray := strayFiles(t, dir); len(stray) != 0 {
 		t.Fatalf("stray files after failed rename: %v", stray)
 	}
-	if n := s.Len(); n != 0 {
-		t.Fatalf("Len after failed rename = %d, want 0", n)
+	if n, _ := s.Disk(); n != 0 {
+		t.Fatalf("entries after failed rename = %d, want 0", n)
 	}
 }
 

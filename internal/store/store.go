@@ -344,21 +344,8 @@ func (s *Store) scan() ([]entryInfo, int64, error) {
 	return entries, total, nil
 }
 
-// Len returns the number of stored entries.
-func (s *Store) Len() int {
-	entries, _, _ := s.scan()
-	return len(entries)
-}
-
-// Size returns the total size in bytes of stored entries.
-func (s *Store) Size() int64 {
-	_, total, _ := s.scan()
-	return total
-}
-
 // Disk reports the entry count and total bytes on disk in one
-// directory scan — the metrics-scrape variant of Len+Size, which
-// would otherwise scan twice per scrape.
+// directory scan.
 func (s *Store) Disk() (entries int, bytes int64) {
 	list, total, _ := s.scan()
 	return len(list), total

@@ -281,8 +281,8 @@ func TestSizeBoundEvictsOldest(t *testing.T) {
 	if err := s.enforceBound(); err != nil {
 		t.Fatal(err)
 	}
-	if sz := s.Size(); sz > 400 {
-		t.Errorf("Size = %d after eviction, want <= 400", sz)
+	if _, sz := s.Disk(); sz > 400 {
+		t.Errorf("disk bytes = %d after eviction, want <= 400", sz)
 	}
 	if _, ok := s.Get(keys[0]); ok {
 		t.Error("oldest entry survived the size bound")
@@ -302,11 +302,19 @@ func TestPurgeRemovesOnlyEntries(t *testing.T) {
 	}
 	bystander := filepath.Join(s.Dir(), "README.txt")
 	os.WriteFile(bystander, []byte("not an entry"), 0o644)
+	one, _ := Key("test/v1", 0)
+	info, err := os.Stat(s.path(one))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, b := s.Disk(); n != 3 || b != 3*info.Size() {
+		t.Errorf("Disk before Purge = %d entries, %d bytes; want 3 entries, %d bytes (the bystander not counted)", n, b, 3*info.Size())
+	}
 	if err := s.Purge(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Len(); n != 0 {
-		t.Errorf("Len after Purge = %d", n)
+	if n, _ := s.Disk(); n != 0 {
+		t.Errorf("entries after Purge = %d", n)
 	}
 	if _, err := os.Stat(bystander); err != nil {
 		t.Error("Purge removed a non-entry file")
