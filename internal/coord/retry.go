@@ -115,10 +115,11 @@ func (c *Coordinator) refreshLease(ctx context.Context, key string) (time.Time, 
 		if err == nil {
 			return expires, nil
 		}
-		if ctx.Err() == nil && attempt < c.cfg.Retry.MaxAttempts {
-			err = c.backoff(ctx, attempt, 0)
+		if ctx.Err() != nil || attempt >= c.cfg.Retry.MaxAttempts {
+			c.giveUps.Add(1)
+			return time.Time{}, err
 		}
-		if err != nil {
+		if err := c.backoff(ctx, attempt, 0); err != nil {
 			c.giveUps.Add(1)
 			return time.Time{}, err
 		}

@@ -1,10 +1,6 @@
-// Package obs mirrors the real telemetry substrate: stdlib-only, so
-// it is the one repro package the remote rule allows.
+// Package obs mirrors the real telemetry substrate: it imports no
+// repro package, so it is the one the remote rule allows.
 package obs
 
-import "fmt"
-
-// Describe keeps the import live.
-func Describe() string {
-	return fmt.Sprint("obs")
-}
+// Kind identifies the fixture package in diagnostics.
+const Kind = "obs"

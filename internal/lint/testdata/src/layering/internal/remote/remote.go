@@ -9,4 +9,4 @@ import (
 )
 
 // Uses keeps both imports live.
-var Uses = store.Kind + obs.Describe()
+const Uses = store.Kind + obs.Kind
