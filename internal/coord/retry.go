@@ -21,8 +21,9 @@ const (
 // every time.  The zero value means the Default* constants.
 type RetryPolicy struct {
 	// MaxAttempts bounds a lease refresh's attempts and the sheds a
-	// dispatch worker takes in a row from one backend before giving
-	// it up.  0 means DefaultMaxAttempts; negative means one attempt.
+	// dispatch worker takes from one backend, with no success between,
+	// before giving it up.  0 means DefaultMaxAttempts; negative means
+	// one attempt.
 	MaxAttempts int
 
 	// BaseDelay is the backoff before the second attempt; attempt n
