@@ -79,14 +79,18 @@ func TestRetryDelayDeterministicAndCapped(t *testing.T) {
 	}
 }
 
-// A Retry-After hint replaces the computed wait, capped at MaxDelay
-// like any other wait.
-func TestRetryWaitHintReplacesDelayAndIsCapped(t *testing.T) {
+// A Retry-After hint replaces the computed wait.
+func TestRetryWaitUsesAfterHint(t *testing.T) {
 	t.Parallel()
 	long := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Hour, MaxDelay: time.Hour}
 	if got := long.wait(1, 123*time.Millisecond); got != 123*time.Millisecond {
 		t.Errorf("wait with a 123ms hint = %v, want the hint", got)
 	}
+}
+
+// A Retry-After hint is capped at MaxDelay like any other wait.
+func TestRetryWaitCapsHintAtMaxDelay(t *testing.T) {
+	t.Parallel()
 	short := RetryPolicy{MaxAttempts: 4, BaseDelay: DefaultBaseDelay, MaxDelay: 50 * time.Millisecond}
 	if got := short.wait(1, time.Hour); got != 50*time.Millisecond {
 		t.Errorf("wait with a 1h hint = %v, want the 50ms MaxDelay", got)
@@ -120,51 +124,63 @@ func leaseCoordinator(t *testing.T, fail int64) *Coordinator {
 	return c
 }
 
-// refreshLease books every outcome: attempts, retries, backoff waits
-// and their total, and a give-up only when it fails.
-func TestRefreshLeaseBooksRetryOutcomes(t *testing.T) {
-	t.Parallel()
+func leaseKey(t *testing.T) string {
+	t.Helper()
 	key, err := LeaseKey("job")
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := func(attempts ...int) float64 {
-		var d time.Duration
-		for _, a := range attempts {
-			d += chaosRetry.delay(a)
-		}
-		return float64(d) / 1e9
-	}
+	return key
+}
 
-	// Two failed writes, then the store recovers.
+// chaosBackoffSecs is the total backoff, in seconds, that refreshLease
+// books for waits after the given attempts under chaosRetry.
+func chaosBackoffSecs(attempts ...int) float64 {
+	var d time.Duration
+	for _, a := range attempts {
+		d += chaosRetry.delay(a)
+	}
+	return float64(d) / 1e9
+}
+
+// Two failed lease writes, then the store recovers: refreshLease
+// books three attempts, two retries and their backoff, and no give-up.
+func TestRefreshLeaseSucceedsAfterRetries(t *testing.T) {
+	t.Parallel()
 	c := leaseCoordinator(t, 2)
-	if _, err := c.refreshLease(context.Background(), key); err != nil {
+	if _, err := c.refreshLease(context.Background(), leaseKey(t)); err != nil {
 		t.Fatalf("refreshLease: %v", err)
 	}
-	want := RetryStats{Attempts: 3, Retries: 2, BackoffWaits: 2, BackoffSecs: secs(1, 2)}
+	want := RetryStats{Attempts: 3, Retries: 2, BackoffWaits: 2, BackoffSecs: chaosBackoffSecs(1, 2)}
 	if got := c.RetryStats(); got != want {
 		t.Errorf("after recovering on attempt 3: %+v, want %+v", got, want)
 	}
+}
 
-	// Every write fails: MaxAttempts attempts, then a give-up.
-	c = leaseCoordinator(t, -1)
-	if _, err := c.refreshLease(context.Background(), key); err == nil {
+// Every lease write fails: MaxAttempts attempts, then a give-up.
+func TestRefreshLeaseGivesUpAtMaxAttempts(t *testing.T) {
+	t.Parallel()
+	c := leaseCoordinator(t, -1)
+	if _, err := c.refreshLease(context.Background(), leaseKey(t)); err == nil {
 		t.Fatal("refreshLease succeeded against an unwritable store")
 	}
-	want = RetryStats{Attempts: 4, Retries: 3, GiveUps: 1, BackoffWaits: 3, BackoffSecs: secs(1, 2, 3)}
+	want := RetryStats{Attempts: 4, Retries: 3, GiveUps: 1, BackoffWaits: 3, BackoffSecs: chaosBackoffSecs(1, 2, 3)}
 	if got := c.RetryStats(); got != want {
 		t.Errorf("after exhausting attempts: %+v, want %+v", got, want)
 	}
+}
 
-	// A canceled context stops after the first failed write, without
-	// a backoff.
-	c = leaseCoordinator(t, -1)
+// A canceled context stops refreshLease after the first failed write,
+// without a backoff.
+func TestRefreshLeaseStopsOnContextCancel(t *testing.T) {
+	t.Parallel()
+	c := leaseCoordinator(t, -1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.refreshLease(ctx, key); err == nil {
+	if _, err := c.refreshLease(ctx, leaseKey(t)); err == nil {
 		t.Fatal("refreshLease succeeded against an unwritable store")
 	}
-	want = RetryStats{Attempts: 1, GiveUps: 1}
+	want := RetryStats{Attempts: 1, GiveUps: 1}
 	if got := c.RetryStats(); got != want {
 		t.Errorf("after cancel: %+v, want %+v", got, want)
 	}

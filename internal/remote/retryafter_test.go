@@ -10,7 +10,7 @@ import (
 )
 
 // A 429 surfaces the backend's Retry-After through RetryAfter, so the
-// caller waits the advertised interval; other failures carry none.
+// caller waits the advertised interval.
 func TestPostUnitShedCarriesRetryAfter(t *testing.T) {
 	t.Parallel()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -25,13 +25,18 @@ func TestPostUnitShedCarriesRetryAfter(t *testing.T) {
 	if hint, ok := RetryAfter(err); !ok || hint != 3*time.Second {
 		t.Errorf("RetryAfter = %v, %v; want 3s, true", hint, ok)
 	}
+}
 
+// Failures other than a 429 carry no Retry-After hint, even when the
+// backend sends the header.
+func TestRetryAfterHintAbsent(t *testing.T) {
+	t.Parallel()
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "3")
 		http.Error(w, `{"code":"internal","message":"backend on fire"}`, http.StatusInternalServerError)
 	}))
 	t.Cleanup(failing.Close)
-	_, err = PostUnit[echoUnit, echoResult](context.Background(), nil, failing.URL, echoUnit{X: 1}, 0)
+	_, err := PostUnit[echoUnit, echoResult](context.Background(), nil, failing.URL, echoUnit{X: 1}, 0)
 	if err == nil {
 		t.Fatal("PostUnit succeeded against a failing backend")
 	}
